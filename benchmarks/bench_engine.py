@@ -22,13 +22,6 @@ Three benchmarks:
   trial — what ``run_online_point`` executes), the baseline through its
   frozen per-shot trial loop.  The committed ``online_d9_*`` points
   must clear **3x**.
-- **Kernel-backend comparison** — the same drains and online trials on
-  the ``numba`` kernel backend vs the default ``numpy`` one (see
-  :mod:`repro.core.kernels`).  The loop-kernel bit-identity check
-  always runs; the timed ``*_numba`` comparison points are recorded
-  only on hosts where numba imports (the committed floors are armed by
-  ``check_floors.py`` on the record's ``host.numba`` field) and must
-  clear **2x**.
 
 **Bit-identity is asserted in every benchmark**: matches, per-layer
 cycles (and for drains, total cycles) must be exactly equal shot for
@@ -87,11 +80,8 @@ ONLINE_POINTS = [
     (9, 9, 0.08, None, 16 if SMOKE else 64, 2.8),
 ]
 
-# Compiled-backend comparison floor: numba vs numpy on the same point.
-COMPILED_FLOOR = 2.0
-
 _RECORD: dict = {
-    "schema": "bench-engine/3",
+    "schema": "bench-engine/4",
     "seed": SEED,
     "smoke": SMOKE,
     "host": {
@@ -103,20 +93,7 @@ _RECORD: dict = {
 }
 
 
-def _default_backend_name() -> str:
-    from repro.core.kernels import resolve_kernel_backend
-
-    return resolve_kernel_backend(None).name
-
-
 def _record(name: str, **fields) -> None:
-    if "numba" not in _RECORD["host"]:
-        # Lazily (repro imports happen inside tests): the compiled
-        # floors in check_floors.py arm on this field.
-        from repro.core.kernels import numba_version
-
-        _RECORD["host"]["numba"] = numba_version()
-    fields.setdefault("kernel_backend", _default_backend_name())
     _RECORD["points"].append({"name": name, **fields})
     if SMOKE:
         # Smoke budgets measure nothing meaningful; never overwrite the
@@ -153,7 +130,7 @@ def _drain_scalar(engine_cls, lattice, streams):
     return time.perf_counter() - start, outs
 
 
-def _drain_batch(lattice, streams, kernel_backend=None):
+def _drain_batch(lattice, streams):
     """Shot-major drain: one batch-engine lane per stream, lock-step."""
     import numpy as np
 
@@ -161,9 +138,7 @@ def _drain_batch(lattice, streams, kernel_backend=None):
 
     stacked = np.stack(streams)
     start = time.perf_counter()
-    batch = QecoolEngineBatch(
-        lattice, capacity=len(streams), kernel_backend=kernel_backend
-    )
+    batch = QecoolEngineBatch(lattice, capacity=len(streams))
     lanes = np.fromiter(
         (batch.alloc_lane() for _ in streams), np.int64, len(streams)
     )
@@ -379,115 +354,4 @@ def test_online_trial_speedup(benchmark, reporter):
         for freq, floor, speedup in results:
             assert speedup >= floor, (
                 f"online clock={freq}: expected >= {floor}x, got {speedup:.2f}x"
-            )
-
-
-def test_kernel_backend_comparison(benchmark, reporter):
-    """numba kernel backend vs the default numpy one, same workloads.
-
-    Always asserts the loop backend (the compiled kernels' logic,
-    interpreted) is bit-identical to numpy on a small drain.  On hosts
-    where numba imports, additionally races the drain and 2 GHz online
-    points backend-vs-backend and records the ``*_numba`` comparison
-    points (armed as floors by ``check_floors.py`` via ``host.numba``).
-    """
-    import numpy as np
-
-    from repro.core.kernels import numba_version, warm_up
-    from repro.core.online import OnlineConfig, run_online_chunk
-    from repro.surface_code.lattice import PlanarLattice
-    from repro.util.rng import substream
-
-    lines = []
-    lattice5 = PlanarLattice(5)
-    streams5 = _drain_streams(lattice5, 5, 0.10, 16)
-    _, out_np = _drain_batch(lattice5, streams5, kernel_backend="numpy")
-    _, out_py = _drain_batch(lattice5, streams5, kernel_backend="python")
-    assert out_np == out_py, "loop backend diverged from numpy"
-    lines.append(
-        "python (loop) backend bit-identical on d=5 drain: yes (asserted)"
-    )
-
-    if numba_version() is None:
-        lines.append(
-            "numba not importable: *_numba comparison points not recorded"
-        )
-        benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-        reporter(benchmark, "Kernel backends: numba vs numpy", lines)
-        return
-
-    warm_up("numba")  # pay every JIT compile before timing anything
-    results = []
-    for d, rounds, p, shots, _ in DRAIN_POINTS:
-        lattice = PlanarLattice(d)
-        streams = _drain_streams(lattice, rounds, p, shots)
-        nb_s, np_s = [], []
-        for _ in range(REPS):
-            t, nb_out = _drain_batch(lattice, streams, kernel_backend="numba")
-            nb_s.append(t)
-            t, np_out = _drain_batch(lattice, streams, kernel_backend="numpy")
-            np_s.append(t)
-        assert nb_out == np_out, f"numba drain diverged from numpy at d={d}"
-        speedup = min(np_s) / min(nb_s)
-        results.append((f"drain d={d}", speedup))
-        lines.append(
-            f"drain d={d:2d} p={p} shots={shots}: "
-            f"numpy {min(np_s) / shots * 1e3:6.2f}ms/shot "
-            f"numba {min(nb_s) / shots * 1e3:6.2f}ms/shot  "
-            f"numba/numpy {speedup:.2f}x"
-        )
-        _record(
-            f"drain_d{d}_numba", d=d, rounds=rounds, p=p, shots=shots,
-            engine="batch", kernel_backend="numba",
-            numpy_ms_per_shot=min(np_s) / shots * 1e3,
-            numba_ms_per_shot=min(nb_s) / shots * 1e3,
-            speedup=speedup,
-        )
-    d, rounds, p, freq, shots, _ = ONLINE_POINTS[0]
-    lattice = PlanarLattice(d)
-    root = np.random.SeedSequence(SEED)
-
-    def run_backend(backend):
-        config = OnlineConfig(frequency_hz=freq, kernel_backend=backend)
-        rngs = [substream(root, i) for i in range(shots)]
-        start = time.perf_counter()
-        outs = run_online_chunk(lattice, p, rounds, config, rngs)
-        return time.perf_counter() - start, outs
-
-    nb_s, np_s = [], []
-    for _ in range(REPS):
-        t, nb_out = run_backend("numba")
-        nb_s.append(t)
-        t, np_out = run_backend("numpy")
-        np_s.append(t)
-    for a, b in zip(nb_out, np_out):
-        assert a.matches == b.matches
-        assert a.layer_cycles == b.layer_cycles
-        assert (a.failed, a.overflow, a.n_rounds) == (
-            b.failed, b.overflow, b.n_rounds,
-        )
-    speedup = min(np_s) / min(nb_s)
-    results.append(("online 2GHz", speedup))
-    lines.append(
-        f"online d={d} p={p} clock=2GHz shots={shots}: "
-        f"numpy {min(np_s) / shots * 1e3:6.2f}ms/trial "
-        f"numba {min(nb_s) / shots * 1e3:6.2f}ms/trial  "
-        f"numba/numpy {speedup:.2f}x"
-    )
-    _record(
-        f"online_d{d}_2GHz_numba", d=d, rounds=rounds, p=p,
-        frequency_hz=freq, shots=shots, engine="batch",
-        kernel_backend="numba",
-        numpy_ms_per_trial=min(np_s) / shots * 1e3,
-        numba_ms_per_trial=min(nb_s) / shots * 1e3,
-        speedup=speedup,
-    )
-    lines.append("bit-identical across backends: yes (asserted)")
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    reporter(benchmark, "Kernel backends: numba vs numpy", lines)
-    if not SMOKE:
-        for label, speedup in results:
-            assert speedup >= COMPILED_FLOOR, (
-                f"{label}: expected numba >= {COMPILED_FLOOR}x over numpy,"
-                f" got {speedup:.2f}x"
             )

@@ -80,18 +80,6 @@ SERVICE_SCALING_FLOORS = {
 # they carry no scalar speedup (schema bench-service/2+).
 SERVICE_REQUIRED_POINTS = ("openloop_mixed",)
 
-# Compiled-kernel-backend floors (schema bench-engine/3+): numba vs
-# numpy on the same workload.  Armed only when the record's host could
-# import numba (``host.numba`` carries its version string) — mirroring
-# the CPU-gated shard-scaling floors above.  A numba-less host's record
-# legitimately omits the points; a numba-capable record must carry them
-# at or above the floor.
-ENGINE_COMPILED_FLOORS = {
-    "drain_d9_numba": 2.0,
-    "drain_d13_numba": 2.0,
-    "online_d9_2GHz_numba": 2.0,
-}
-
 
 def check(path: Path) -> list[str]:
     record = json.loads(path.read_text())
@@ -118,22 +106,6 @@ def check(path: Path) -> list[str]:
                 f"{path}: {name} speedup {speedup!r} regressed below the"
                 f" committed floor {floor}x"
             )
-    if schema == "bench-engine":
-        if record.get("host", {}).get("numba"):
-            for name, floor in ENGINE_COMPILED_FLOORS.items():
-                point = seen.get(name)
-                if point is None:
-                    errors.append(
-                        f"{path}: required bench point {name!r} missing"
-                        f" (host has numba)"
-                    )
-                    continue
-                speedup = point.get("speedup")
-                if not isinstance(speedup, (int, float)) or speedup < floor:
-                    errors.append(
-                        f"{path}: {name} speedup {speedup!r} regressed below"
-                        f" the committed floor {floor}x"
-                    )
     if schema == "bench-service":
         for name in SERVICE_REQUIRED_POINTS:
             if name not in seen:

@@ -42,31 +42,19 @@ class QecoolDecoder(Decoder):
         (default) is the paper's batch configuration.
     nlimit:
         Optional cap on the Controller's growing hop budget.
-    kernel_backend:
-        Engine-kernel backend name (see
-        :mod:`repro.core.kernels`); ``None`` uses the process default.
     """
 
     name = "qecool"
 
-    def __init__(
-        self,
-        thv: int = -1,
-        nlimit: int | None = None,
-        kernel_backend: str | None = None,
-    ):
+    def __init__(self, thv: int = -1, nlimit: int | None = None):
         self.thv = thv
         self.nlimit = nlimit
-        self.kernel_backend = kernel_backend
 
     def decode(self, lattice: PlanarLattice, events: np.ndarray) -> DecodeResult:
         events = np.asarray(events, dtype=np.uint8)
         if events.ndim == 1:
             events = events[None, :]
-        engine = QecoolEngine(
-            lattice, thv=self.thv, nlimit=self.nlimit,
-            kernel_backend=self.kernel_backend,
-        )
+        engine = QecoolEngine(lattice, thv=self.thv, nlimit=self.nlimit)
         for row in events:
             engine.push_layer(row)
         engine.decode_loaded()
@@ -95,8 +83,7 @@ class QecoolDecoder(Decoder):
             return super().decode_batch(lattice, events)
         shots = events.shape[0]
         batch = QecoolEngineBatch(
-            lattice, thv=self.thv, nlimit=self.nlimit, capacity=shots,
-            kernel_backend=self.kernel_backend,
+            lattice, thv=self.thv, nlimit=self.nlimit, capacity=shots
         )
         lanes = np.fromiter(
             (batch.alloc_lane() for _ in range(shots)), np.int64, shots

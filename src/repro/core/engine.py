@@ -74,7 +74,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.core.kernels import Geometry, resolve_kernel_backend
+from repro.core import kernels
 from repro.core.spike import (
     PRIORITY_EAST,
     PRIORITY_NORTH,
@@ -188,21 +188,20 @@ def _pair_base_table(lattice: PlanarLattice) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _kernel_geometry(lattice: PlanarLattice) -> Geometry:
-    """The race-geometry bundle every kernel-backend call receives.
+def _kernel_geometry(lattice: PlanarLattice) -> kernels.Geometry:
+    """The race-geometry bundle every kernel call receives.
 
     Cached per lattice (the tables themselves already are); shared by
     the scalar and batch engines.
     """
     radix = lattice.n_ancillas + 1
-    return Geometry(
+    return kernels.Geometry(
         pair_base=_pair_base_table(lattice),
         depth_lut=_depth_key_table(lattice),
         bpacked=_packed_boundaries_arr(lattice),
         bpacked_t=_packed_boundaries(lattice),
         radix=radix,
         hops_div=1024 * radix,
-        rows=lattice.rows,
         cols=lattice.cols,
     )
 
@@ -228,11 +227,6 @@ class QecoolEngine:
         Maximum hop budget of the Controller's growing timeout; defaults
         to the lattice diameter plus ``Reg`` depth, which guarantees any
         defect can reach a partner or the boundary.
-    kernel_backend:
-        Hot-kernel backend name (see :mod:`repro.core.kernels`), a
-        backend instance, or ``None`` for the process default
-        (``numpy`` unless overridden).  Backends never change
-        observables — matches and cycles are bit-identical.
     """
 
     def __init__(
@@ -241,7 +235,6 @@ class QecoolEngine:
         thv: int = -1,
         reg_size: int | None = None,
         nlimit: int | None = None,
-        kernel_backend=None,
     ):
         if thv < -1:
             raise ValueError(f"thv must be >= -1, got {thv}")
@@ -284,7 +277,6 @@ class QecoolEngine:
         self._pair_base = _pair_base_table(lattice)
         self._depth_lut = _depth_key_table(lattice)
         self._radix = lattice.n_ancillas + 1  # packed-key source digit
-        self._kernel = resolve_kernel_backend(kernel_backend)
         self._geo = _kernel_geometry(lattice)
         # Accounting.
         self.cycles = 0
@@ -619,10 +611,7 @@ class QecoolEngine:
         try:
             self._run_to_idle(drain)
         finally:
-            tracer.add(
-                "engine.run_to_idle", t, tracer.clock() - t,
-                tag=self._kernel.name,
-            )
+            tracer.add("engine.run_to_idle", t, tracer.clock() - t)
 
     def _run_to_idle(self, drain: bool = False) -> None:
         if drain:
@@ -791,18 +780,17 @@ class QecoolEngine:
         return self._winner_scalar(idx, b)
 
     def _winners_bulk(self, sinks: list[tuple[int, int]]) -> list[int]:
-        """Packed race winners for many sinks in one backend pass.
+        """Packed race winners for many sinks in one broadcast pass.
 
-        Dispatches the broadcast winner race (kernel-backend method
-        ``winners_bulk``) — bit-equivalent to the scalar ``cand <
-        best`` scan.  Winners are stored in the cache and returned in
-        request order.
+        Runs :func:`repro.core.kernels.winners_bulk`, which is
+        bit-equivalent to the scalar ``cand < best`` scan.  Winners are
+        stored in the cache and returned in request order.
         """
         live = self._live_units()
         cache = self._winner_cache
         b_arr = np.fromiter((b for b, _ in sinks), np.int64, len(sinks))
         sink_arr = np.fromiter((idx for _, idx in sinks), np.int64, len(sinks))
-        best = self._kernel.winners_bulk(
+        best = kernels.winners_bulk(
             self._masks, live, sink_arr, b_arr, self._geo
         ).tolist()
         popped = self.popped

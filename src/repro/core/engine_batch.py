@@ -58,14 +58,11 @@ import numpy as np
 
 from repro.core.engine import (
     MAX_LAYERS,
-    _depth_key_table,
     _fast_match,
     _kernel_geometry,
-    _pair_base_table,
-    _packed_boundaries_arr,
     QecoolEngine,
 )
-from repro.core.kernels import resolve_kernel_backend
+from repro.core import kernels
 from repro.core.spike import PRIORITY_WEST, port_table
 from repro.decoders.base import BOUNDARY_EAST, BOUNDARY_WEST
 from repro.surface_code.lattice import PlanarLattice
@@ -103,7 +100,6 @@ class QecoolEngineBatch:
         reg_size: int | None = None,
         nlimit: int | None = None,
         capacity: int = 8,
-        kernel_backend=None,
     ):
         if thv < -1:
             raise ValueError(f"thv must be >= -1, got {thv}")
@@ -126,13 +122,8 @@ class QecoolEngineBatch:
         # Geometry tables, shared with the scalar engine's caches.
         self._dist = lattice.pairwise_manhattan
         self._ports = port_table(lattice)
-        self._pair_base = _pair_base_table(lattice)
-        self._depth_lut = _depth_key_table(lattice)
-        self._bpacked = _packed_boundaries_arr(lattice)
-        self._bpacked_list = self._bpacked.tolist()
         self._radix = lattice.n_ancillas + 1
         self._hops_div = 1024 * self._radix
-        self._kernel = resolve_kernel_backend(kernel_backend)
         self._geo = _kernel_geometry(lattice)
         # Optional repro.obs.trace.Tracer; None (the default) keeps
         # decode() entirely untimed.
@@ -406,7 +397,7 @@ class QecoolEngineBatch:
                 "empty_layers_fast requires empty, parked, non-draining lanes"
             )
         cost = 1 + self.lattice.rows
-        deltas = self._kernel.charge_empty(
+        deltas = kernels.charge_empty(
             self._cycles, self._popped, self._cycles_at_last_pop, lanes, cost
         ).tolist()
         for lane, delta in zip(lanes.tolist(), deltas):
@@ -446,9 +437,7 @@ class QecoolEngineBatch:
             check = cand & (exposed >= 0)
             if check.any():
                 sel = lanes[check]
-                hit = self._kernel.exposed_any(
-                    self._masks, sel, exposed[check]
-                )
+                hit = kernels.exposed_any(self._masks, sel, exposed[check])
                 blocked = np.flatnonzero(check)[hit]
                 cand[blocked] = False
                 out[blocked] = -1
@@ -482,10 +471,7 @@ class QecoolEngineBatch:
         try:
             return self._decode(lanes, wall, deadline)
         finally:
-            tracer.add(
-                "engine.batch_decode", t, tracer.clock() - t,
-                tag=self._kernel.name,
-            )
+            tracer.add("engine.batch_decode", t, tracer.clock() - t)
 
     def _decode(
         self,
@@ -721,31 +707,15 @@ class QecoolEngineBatch:
         # Valid entries and missing races give a first minimum, and a
         # stale entry is a lower bound (matches only remove
         # candidates), so only stale entries that could still beat the
-        # running minimum need re-racing — the backend refines them
+        # running minimum need re-racing — the kernel refines them
         # until the exact minimum settles.  The rest stay stale in the
         # slab; the sweep handles them (timeout past the budget,
         # validate when matchable).
-        need = self._kernel.survey_need(
+        need = kernels.survey_need(
             self._masks, self._win, self._win_dirty, s, i, b, pos,
             len(top), self._geo,
         )
         return b_max, n_sinks, need
-
-    def _valid_entries(
-        self, entries: np.ndarray, s: np.ndarray, i: np.ndarray, b: np.ndarray
-    ) -> np.ndarray:
-        """Which cached winners still race to a live event bit
-        (kernel-backend dispatch)."""
-        return self._kernel.valid_entries(
-            entries, self._masks, s, i, b, self._geo
-        )
-
-    def _race(self, s: np.ndarray, i: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Packed race winners for ``(lane, sink, base)`` triples — the
-        scalar broadcast race flattened across lanes, dispatched to the
-        kernel backend (every requested sink holds its base bit, so the
-        depth LUT's sentinel never compounds with the pair table's)."""
-        return self._kernel.race(self._masks, s, i, b, self._geo)
 
     # ------------------------------------------------------------------
     # Phase: analytic budget growth
@@ -930,7 +900,10 @@ class QecoolEngineBatch:
                 missing = entries < 0
                 if missing.any():
                     b_arr = np.full(int(missing.sum()), b, dtype=np.int64)
-                    raced = self._race(s_flat[missing], units[missing], b_arr)
+                    raced = kernels.race(
+                        self._masks, s_flat[missing], units[missing], b_arr,
+                        self._geo,
+                    )
                     self._win[s_flat[missing], units[missing], b] = raced
                     self._win_dirty[s_flat[missing]] = True
                     entries = entries.copy()
@@ -943,14 +916,15 @@ class QecoolEngineBatch:
                     # the budget time out as lower bounds.
                     mi = np.flatnonzero(matchable)
                     b_arr = np.full(mi.size, b, dtype=np.int64)
-                    valid = self._valid_entries(
-                        entries[mi], s_flat[mi], units[mi], b_arr
+                    valid = kernels.valid_entries(
+                        entries[mi], self._masks, s_flat[mi], units[mi],
+                        b_arr, self._geo,
                     )
                     if not valid.all():
                         ri = mi[~valid]
-                        raced = self._race(
-                            s_flat[ri], units[ri],
-                            np.full(ri.size, b, dtype=np.int64),
+                        raced = kernels.race(
+                            self._masks, s_flat[ri], units[ri],
+                            np.full(ri.size, b, dtype=np.int64), self._geo,
                         )
                         self._win[s_flat[ri], units[ri], b] = raced
                         entries = entries.copy()
@@ -1062,18 +1036,18 @@ class QecoolEngineBatch:
         The sequential conflict scan — a hit consumed as an earlier
         match's source is skipped, a hit whose pre-raced winner lost
         its target event re-races against the post-commit state — runs
-        in the kernel backend, which returns every observable mutation
-        as flat records; this wrapper materialises the match objects
-        (in scan order, so per-lane match order is the scalar one) and
-        applies charges, occupancy updates and Reg bit clears to the
-        slabs in bulk.  Decisions and charges are exactly the scalar
+        in :func:`repro.core.kernels.commit_scan`, which returns every
+        observable mutation as flat records; this wrapper materialises
+        the match objects (in scan order, so per-lane match order is the
+        scalar one) and applies charges, occupancy updates and Reg bit
+        clears to the slabs in bulk.  Decisions and charges are exactly the scalar
         ``_sweep`` level's: the pre-race is valid while its target
         survives (candidates are only ever removed), and the charge
         total is order-independent because deadline-safe lanes have no
         mid-level observation points.
         """
         cols = self.lattice.cols
-        res = self._kernel.commit_scan(
+        res = kernels.commit_scan(
             self._masks, self._win, self._row_counts, self._popped,
             cur, b, rel, units, entries, hops, matchable, budget,
             rowcost, self._geo,
@@ -1222,11 +1196,11 @@ class QecoolEngineBatch:
                                 return suspend(r, pos, True)
                         continue
                     if not self._still_valid_one(lane, idx, b, win):
-                        win = self._race_one(lane, idx, b)
+                        win = kernels._race_one(self._masks, lane, idx, b, {}, self._geo)
                         win_row[idx, b] = win
                         hops = win // hops_div >> 1
                 else:
-                    win = self._race_one(lane, idx, b)
+                    win = kernels._race_one(self._masks, lane, idx, b, {}, self._geo)
                     win_row[idx, b] = win
                     self._win_dirty[lane] = True
                     hops = win // hops_div >> 1
@@ -1257,32 +1231,6 @@ class QecoolEngineBatch:
         else:
             return True
         return bool((int(self._masks[lane, unit]) >> (b + t_rel)) & 1)
-
-    def _race_one(
-        self, lane: int, idx: int, b: int, pending: dict[int, int] | None = None
-    ) -> int:
-        """One sink's packed winner (the broadcast race on one slab row).
-
-        ``pending`` maps units to bits cleared by commits not yet
-        applied to the slab (mid-level re-races see the true state).
-        """
-        masks = self._masks[lane]
-        if pending:
-            masks = masks.copy()
-            for u, bits in pending.items():
-                masks[u] = masks[u] & ~np.uint64(bits)
-        shifted = masks >> np.uint64(b)
-        lsb = shifted & (np.uint64(0) - shifted)
-        t = np.bitwise_count(lsb - _ONE).astype(np.intp)
-        best = int((self._pair_base[idx] + self._depth_lut.take(t)).min())
-        higher = int(masks[idx]) >> (b + 1)
-        if higher:
-            vt = (higher & -higher).bit_length()
-            cand = (vt * 2048 + vt) * self._radix
-            if cand < best:
-                best = cand
-        boundary = self._bpacked_list[idx]
-        return boundary if boundary < best else best
 
     def _apply_one(self, lane: int, idx: int, b: int, packed: int) -> bool:
         """Commit one match (the scalar ``_apply`` on slab state)."""
@@ -1452,5 +1400,5 @@ class QecoolEngineBatch:
         equivalence tests replay each lane's input stream through)."""
         return QecoolEngine(
             self.lattice, thv=self.thv, reg_size=self.reg_size,
-            nlimit=self.nlimit, kernel_backend=self._kernel,
+            nlimit=self.nlimit,
         )

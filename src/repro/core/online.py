@@ -72,9 +72,6 @@ class OnlineConfig:
     measurement_interval_s: float = 1.0e-6
     thv: int = 3
     reg_size: int = 7
-    kernel_backend: str | None = None
-    """Engine-kernel backend name (:mod:`repro.core.kernels`);
-    ``None`` uses the process default."""
 
     @property
     def cycles_per_interval(self) -> float:
@@ -138,17 +135,9 @@ def run_online_trial(
         raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
     rng = make_rng(rng)
     noise = _resolve_trial_noise(p, q)
-    if engine_factory is None:
-        engine = QecoolEngine(
-            lattice, thv=config.thv, reg_size=config.reg_size,
-            kernel_backend=config.kernel_backend,
-        )
-    else:
-        # Alternative engines (frozen baselines) predate the kernel
-        # registry; keep their constructor contract untouched.
-        engine = engine_factory(
-            lattice, thv=config.thv, reg_size=config.reg_size
-        )
+    engine = (engine_factory or QecoolEngine)(
+        lattice, thv=config.thv, reg_size=config.reg_size
+    )
     budget = config.cycles_per_interval
     # With no cycle deadline the decode between rounds always runs to
     # IDLE, so the engine can advance synchronously (no generator); a
@@ -544,10 +533,7 @@ class OnlineShot(StreamingShotState):
             # ``engine`` lets a caller recycle a reset engine of the
             # same (lattice, thv, reg_size) shape instead of allocating.
             self.engine = (
-                QecoolEngine(
-                    lattice, thv=config.thv, reg_size=config.reg_size,
-                    kernel_backend=config.kernel_backend,
-                )
+                QecoolEngine(lattice, thv=config.thv, reg_size=config.reg_size)
                 if engine is None
                 else engine
             )
@@ -1279,7 +1265,7 @@ def run_online_chunk(
     batch = (
         QecoolEngineBatch(
             lattice, thv=config.thv, reg_size=config.reg_size,
-            capacity=len(rngs), kernel_backend=config.kernel_backend,
+            capacity=len(rngs),
         )
         if len(rngs) >= BATCH_ENGINE_CUTOFF
         else None

@@ -45,19 +45,13 @@ class SlidingWindowDecoder(Decoder):
 
     name = "qecool-window"
 
-    def __init__(
-        self,
-        window: int = 4,
-        commit: int = 1,
-        kernel_backend: str | None = None,
-    ):
+    def __init__(self, window: int = 4, commit: int = 1):
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         if not 1 <= commit <= window:
             raise ValueError(f"commit must be in [1, window], got {commit}")
         self.window = window
         self.commit = commit
-        self.kernel_backend = kernel_backend
 
     def decode(self, lattice: PlanarLattice, events: np.ndarray) -> DecodeResult:
         events = np.asarray(events, dtype=np.uint8)
@@ -73,7 +67,7 @@ class SlidingWindowDecoder(Decoder):
             commit_stop = stop if stop == n_layers else min(
                 start + self.commit, n_layers
             )
-            engine = QecoolEngine(lattice, kernel_backend=self.kernel_backend)
+            engine = QecoolEngine(lattice)
             for row in remaining[start:stop]:
                 engine.push_layer(row)
             engine.decode_loaded()

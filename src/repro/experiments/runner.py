@@ -55,10 +55,6 @@ import argparse
 import sys
 import time
 
-from repro.core.kernels import (
-    available_kernel_backends,
-    set_default_kernel_backend,
-)
 from repro.experiments.executor import default_adaptive
 from repro.experiments.fig4 import run_fig4a, run_fig4b
 from repro.experiments.fig7 import run_fig7
@@ -247,16 +243,7 @@ def main(argv: list[str] | None = None) -> int:
         help="measurement-flip probability override (default: the noise "
         "model's own convention, q = p for the paper's models)",
     )
-    parser.add_argument(
-        "--kernel-backend", default=None, choices=available_kernel_backends(),
-        help="engine-kernel backend for every decode (default: numpy; "
-        "'numba' JIT-compiles the hot loops, falling back to numpy with "
-        "a warning when numba is not installed)",
-    )
     args = parser.parse_args(argv)
-    if args.kernel_backend is not None:
-        # Sets the env default too, so --jobs worker processes inherit.
-        set_default_kernel_backend(args.kernel_backend)
     noise_params = {
         key: value
         for key, value in (("bias", args.bias), ("ramp", args.ramp), ("q", args.q))

@@ -1,10 +1,10 @@
 """Fixed-log-bucket histograms that merge exactly.
 
-The service's old percentile story sampled: ``_Decimated`` kept a
-stride-thinned series per scheduler, and the shard router — with no raw
-samples to pool — reported cross-shard percentiles as per-percentile
-maxima.  A :class:`LogHistogram` replaces both ends of that compromise:
-every observation lands in a **fixed, globally-agreed bucket** (log10
+The service's old percentile story sampled: it kept a stride-thinned
+series per scheduler, and the shard router — with no raw samples to
+pool — reported cross-shard percentiles as per-percentile maxima.  A
+:class:`LogHistogram` replaces both ends of that compromise: every
+observation lands in a **fixed, globally-agreed bucket** (log10
 spacing, ``buckets_per_decade`` buckets per decade), so any two
 histograms over the same layout merge by *adding bucket counts* — the
 merged histogram is bit-for-bit the histogram a single observer of the

@@ -9,9 +9,8 @@ fixed-log-bucket histograms (:class:`repro.obs.hist.LogHistogram`)
 whose **merges are exact** — the shard router pools per-worker
 histograms bucket-for-bucket instead of approximating percentiles —
 and whose means are computed over *every* observation, not a sample.
-Occupancy series (queue depth, batch size) keep the deterministic
-stride decimator, which suits bounded small-integer series whose only
-report is a mean.
+Occupancy series (queue depth, batch size) report only a mean, kept
+exactly as a count and a sum.
 
 ``snapshot()`` returns the JSON-safe form persisted through
 :func:`repro.experiments.results.save_service_metrics` and served by
@@ -25,8 +24,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from repro.obs.hist import LogHistogram
 
 __all__ = ["ServiceMetrics"]
@@ -39,67 +36,26 @@ __all__ = ["ServiceMetrics"]
 HIST_FIELDS = ("round_latency_s", "wait_s", "service_s", "decode_cycles")
 
 
-class _Decimated:
-    """Append-only sample series with deterministic stride thinning.
+class _Mean:
+    """Exact running mean of a series: a count and a sum, no samples."""
 
-    Keeps at most ``cap`` samples: when full, every other stored sample
-    is dropped and the acceptance stride doubles, so the series stays a
-    uniform 1-in-``stride`` systematic sample of the stream (weights
-    are the stride at admission time).
-    """
+    def __init__(self):
+        self.n = 0
+        self.total = 0
 
-    def __init__(self, cap: int = 4096):
-        if cap < 2:
-            raise ValueError(f"cap must be >= 2, got {cap}")
-        self.cap = cap
-        self.stride = 1
-        self._phase = 0
-        self.samples: list[float] = []
-        self.weights: list[float] = []
-        self.n_seen = 0
+    def add(self, value) -> None:
+        self.n += 1
+        self.total += value
 
-    def add(self, value: float, weight: float = 1.0) -> None:
-        self.n_seen += 1
-        self._phase += 1
-        if self._phase < self.stride:
-            return
-        self._phase = 0
-        self.samples.append(float(value))
-        self.weights.append(float(weight) * self.stride)
-        if len(self.samples) >= self.cap:
-            # Each survivor stands in for a dropped neighbour too.
-            self.samples = self.samples[1::2]
-            self.weights = [w * 2 for w in self.weights[1::2]]
-            self.stride *= 2
-
-    def percentiles(self, qs: tuple[float, ...]) -> list[float]:
-        """Weighted percentiles of the retained samples (NaN if empty)."""
-        if not self.samples:
-            return [float("nan")] * len(qs)
-        values = np.asarray(self.samples)
-        weights = np.asarray(self.weights)
-        order = np.argsort(values)
-        values = values[order]
-        cum = np.cumsum(weights[order])
-        targets = cum[-1] * np.asarray(qs) / 100.0
-        # side="right": the smallest sample whose cumulative weight
-        # strictly exceeds the target — the q-tail convention (a 99th
-        # percentile above 99% of the mass).
-        idx = np.searchsorted(cum, targets, side="right").clip(0, len(values) - 1)
-        return [float(v) for v in values[idx]]
-
-    def mean(self) -> float:
-        if not self.samples:
-            return float("nan")
-        values = np.asarray(self.samples)
-        weights = np.asarray(self.weights)
-        return float((values * weights).sum() / weights.sum())
+    def mean(self) -> float | None:
+        """The mean of every value added, or ``None`` before the first."""
+        return self.total / self.n if self.n else None
 
 
 class ServiceMetrics:
-    """Counters, histograms and bounded series for one scheduler."""
+    """Counters, histograms and occupancy means for one scheduler."""
 
-    def __init__(self, clock=time.monotonic, cap: int = 4096, tracer=None):
+    def __init__(self, clock=time.monotonic, tracer=None):
         self._clock = clock
         self.tracer = tracer
         self.started_at = clock()
@@ -117,10 +73,10 @@ class ServiceMetrics:
         self.hists: dict[str, LogHistogram] = {
             name: LogHistogram() for name in HIST_FIELDS
         }
-        # Bounded occupancy series (mean-only reporting).
-        self.step_batch_sessions = _Decimated(cap)
-        self.queue_depth = _Decimated(cap)
-        self.active_sessions = _Decimated(cap)
+        # Occupancy series (mean-only reporting).
+        self.step_batch_sessions = _Mean()
+        self.queue_depth = _Mean()
+        self.active_sessions = _Mean()
 
     # ------------------------------------------------------------------
     # Scheduler hooks
@@ -181,7 +137,6 @@ class ServiceMetrics:
         rejected must all produce a finite, ``json.dumps``-able
         snapshot — pinned by ``tests/test_service.py``.
         """
-        num = lambda x: None if x != x else x  # NaN -> None
         elapsed = max(self._clock() - self.started_at, 1e-12)
 
         def triple(name: str) -> dict:
@@ -204,9 +159,9 @@ class ServiceMetrics:
             "drop_rate": self.rejected / self.submitted if self.submitted else 0.0,
             "round_latency_s": triple("round_latency_s"),
             "decode_cycles": triple("decode_cycles"),
-            "mean_batch_sessions": num(self.step_batch_sessions.mean()),
-            "mean_queue_depth": num(self.queue_depth.mean()),
-            "mean_active_sessions": num(self.active_sessions.mean()),
+            "mean_batch_sessions": self.step_batch_sessions.mean(),
+            "mean_queue_depth": self.queue_depth.mean(),
+            "mean_active_sessions": self.active_sessions.mean(),
             "mean_wait_s": self.hists["wait_s"].mean(),
             "mean_service_s": self.hists["service_s"].mean(),
             "hist": {name: hist.to_dict() for name, hist in self.hists.items()},

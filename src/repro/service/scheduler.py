@@ -48,7 +48,6 @@ from dataclasses import dataclass
 
 from repro.core.engine import QecoolEngine
 from repro.core.engine_batch import QecoolEngineBatch
-from repro.core.kernels import resolve_kernel_backend
 from repro.core.online import (
     OnlineShot,
     StreamingBlock,
@@ -101,9 +100,6 @@ class SchedulerConfig:
     max_queue: int = 1024
     engine_pool_per_shape: int = 256  # initial lanes per batch engine
     max_idle_shapes: int = 8  # drained shape groups kept warm (LRU)
-    kernel_backend: str | None = None
-    """Default engine-kernel backend (:mod:`repro.core.kernels`) for
-    sessions that do not pick one; ``None`` uses the process default."""
     trace: bool = False
     """Enable the phase tracer (:class:`repro.obs.trace.Tracer`):
     scheduler tick phases, engine decodes and streaming-round sections
@@ -121,14 +117,6 @@ class SchedulerConfig:
     def __post_init__(self) -> None:
         if self.max_active < 1:
             raise ValueError(f"max_active must be >= 1, got {self.max_active}")
-        if self.kernel_backend is not None:
-            from repro.core.kernels import available_kernel_backends
-
-            if self.kernel_backend not in available_kernel_backends():
-                raise ValueError(
-                    f"unknown kernel backend {self.kernel_backend!r}; "
-                    f"available: {', '.join(available_kernel_backends())}"
-                )
         if self.max_queue < 0:
             raise ValueError(f"max_queue must be >= 0, got {self.max_queue}")
         if self.engine_pool_per_shape < 0:
@@ -286,21 +274,10 @@ class MicroBatchScheduler:
             lattice = self._lattices[d] = PlanarLattice(d)
         return lattice
 
-    def _kernel_for(self, spec: SessionSpec):
-        """The session's resolved kernel backend (spec overrides the
-        scheduler default).  Resolving here means pool keys use the
-        *effective* backend name — ``numba`` falling back on a host
-        without numba shares the ``numpy`` pools instead of shadowing
-        them."""
-        return resolve_kernel_backend(
-            spec.kernel_backend or self.config.kernel_backend
-        )
-
     def _batch_for(
         self, spec: SessionSpec, lattice: PlanarLattice
     ) -> QecoolEngineBatch:
-        kernel = self._kernel_for(spec)
-        key = (spec.d, spec.thv, spec.reg_size, kernel.name)
+        key = (spec.d, spec.thv, spec.reg_size)
         batch = self._engine_pool.get(key)
         if batch is None:
             capacity = max(
@@ -309,7 +286,7 @@ class MicroBatchScheduler:
             )
             batch = self._engine_pool[key] = QecoolEngineBatch(
                 lattice, thv=spec.thv, reg_size=spec.reg_size,
-                capacity=capacity, kernel_backend=kernel,
+                capacity=capacity,
             )
             batch.tracer = self.tracer
         return batch
@@ -317,19 +294,15 @@ class MicroBatchScheduler:
     def _scalar_engine_for(
         self, spec: SessionSpec, lattice: PlanarLattice
     ) -> QecoolEngine:
-        kernel = self._kernel_for(spec)
-        pool = self._scalar_pool.get((spec.d, spec.thv, spec.reg_size, kernel.name))
+        pool = self._scalar_pool.get((spec.d, spec.thv, spec.reg_size))
         if pool:
             return pool.pop()
-        engine = QecoolEngine(
-            lattice, thv=spec.thv, reg_size=spec.reg_size,
-            kernel_backend=kernel,
-        )
+        engine = QecoolEngine(lattice, thv=spec.thv, reg_size=spec.reg_size)
         engine.tracer = self.tracer
         return engine
 
     def _recycle_scalar(self, spec: SessionSpec, engine: QecoolEngine) -> None:
-        key = (spec.d, spec.thv, spec.reg_size, engine._kernel.name)
+        key = (spec.d, spec.thv, spec.reg_size)
         pool = self._scalar_pool.setdefault(key, [])
         if len(pool) < self.config.engine_pool_per_shape:
             pool.append(engine.reset())
@@ -403,10 +376,7 @@ class MicroBatchScheduler:
         else:
             session.shot = WindowShot(
                 lattice, noise, spec.rounds,
-                SlidingWindowDecoder(
-                    window=spec.window, commit=spec.commit,
-                    kernel_backend=self._kernel_for(spec),
-                ),
+                SlidingWindowDecoder(window=spec.window, commit=spec.commit),
                 rng=spec.seed,
                 block=block,
             )

@@ -46,10 +46,6 @@ import inspect
 import json
 import sys
 
-from repro.core.kernels import (
-    available_kernel_backends,
-    set_default_kernel_backend,
-)
 from repro.obs.http import MetricsHTTPServer
 from repro.service.api import DecodeService
 from repro.service.scheduler import Backpressure, SchedulerConfig
@@ -383,13 +379,6 @@ def main(argv: list[str] | None = None) -> int:
         "hung (default: no deadline)",
     )
     parser.add_argument(
-        "--kernel-backend", default=None,
-        choices=available_kernel_backends(),
-        help="default engine-kernel backend for sessions that do not "
-        "pick one ('numba' falls back to numpy with a warning when "
-        "numba is not installed)",
-    )
-    parser.add_argument(
         "--metrics-port", type=int, default=None, metavar="N",
         help="also serve Prometheus text exposition on HTTP "
         "GET /metrics at this port (0 = ephemeral, printed once bound)",
@@ -405,12 +394,8 @@ def main(argv: list[str] | None = None) -> int:
         "(aggregates always see every span)",
     )
     args = parser.parse_args(argv)
-    if args.kernel_backend is not None:
-        # Env default too, so shard worker processes inherit it.
-        set_default_kernel_backend(args.kernel_backend)
     config = SchedulerConfig(
         max_active=args.capacity, max_queue=args.max_queue,
-        kernel_backend=args.kernel_backend,
         trace=args.trace is not None,
         trace_sample=args.trace_sample,
     )

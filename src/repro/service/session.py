@@ -25,6 +25,8 @@ Two session modes share the scheduler's micro-batches:
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
@@ -59,13 +61,11 @@ def _online_config(
     measurement_interval_s: float,
     thv: int,
     reg_size: int | None,
-    kernel_backend: str | None = None,
 ) -> OnlineConfig:
     return OnlineConfig(
         frequency_hz=frequency_hz,
         measurement_interval_s=measurement_interval_s,
         thv=thv,
-        kernel_backend=kernel_backend,
         reg_size=reg_size,
     )
 
@@ -96,18 +96,35 @@ class SessionSpec:
     noise_params: dict | None = None
     window: int = 4
     commit: int = 1
-    kernel_backend: str | None = None
-    """Engine-kernel backend name (:mod:`repro.core.kernels`);
-    ``None`` defers to the scheduler's configured default."""
 
     def validate(self) -> None:
         """Raise ``ValueError`` on an unusable spec.
 
-        Everything a remote client can pick is range-checked here —
+        Everything a remote client can pick is type- and range-checked
+        here (every violation is a ``ValueError``, never a ``TypeError``) —
         the scheduler is shared, so a spec that would raise inside
         ``step()`` (e.g. an engine exceeding ``MAX_LAYERS`` stored
         layers) must be rejected at admission instead.
         """
+        for name in ("d", "seed", "n_rounds", "thv", "reg_size", "window", "commit"):
+            value = getattr(self, name)
+            if value is None and name in ("n_rounds", "reg_size"):
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("p", "q", "frequency_hz", "measurement_interval_s"):
+            value = getattr(self, name)
+            if value is None and name in ("q", "frequency_hz"):
+                continue
+            # Python ints are finite but may overflow a float conversion.
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not (isinstance(value, int) or math.isfinite(value))
+            ):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.mode not in ("online", "window"):
             raise ValueError(f"mode must be 'online' or 'window', got {self.mode!r}")
         if self.d < 3 or self.d % 2 == 0:
@@ -152,16 +169,6 @@ class SessionSpec:
             )
         if self.q is not None and not 0.0 <= self.q <= 1.0:
             raise ValueError(f"q must be a probability or None, got {self.q}")
-        if self.kernel_backend is not None:
-            # Same shed-at-the-transport rule as noise below: an
-            # unknown backend name must not reach the shared tick.
-            from repro.core.kernels import available_kernel_backends
-
-            if self.kernel_backend not in available_kernel_backends():
-                raise ValueError(
-                    f"unknown kernel backend {self.kernel_backend!r}; "
-                    f"available: {', '.join(available_kernel_backends())}"
-                )
         if self.noise_params is not None and not isinstance(
             self.noise_params, dict
         ):
@@ -212,7 +219,6 @@ class SessionSpec:
             self.measurement_interval_s,
             self.thv,
             self.reg_size,
-            self.kernel_backend,
         )
 
     def to_payload(self) -> dict:

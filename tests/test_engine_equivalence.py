@@ -21,14 +21,8 @@ import numpy as np
 import pytest
 
 from repro.core.engine import IDLE, QecoolEngine
-from repro.core.kernels import available_kernel_backends
 from repro.core.reference import ReferenceEngine
 from repro.surface_code.lattice import PlanarLattice
-
-# Every registered backend must drive the array engine through the
-# same observable stream ("numba" resolves to its numpy fallback when
-# numba is absent, so the list is safe to sweep on any host).
-BACKENDS = available_kernel_backends()
 
 
 def _drive_engine_to_idle(engine, gen):
@@ -47,24 +41,32 @@ def _assert_synced(engine: QecoolEngine, ref: ReferenceEngine) -> None:
     assert engine.defects_remaining == ref.defects_remaining
 
 
+# Per-layer event densities a stream draws from.  "mixed" hits thv
+# waits, busy layers that back the Reg up toward overflow, and empty
+# layers that pop through; "sparse" is long empty stretches (the
+# idle-layer pop path); "burst" is back-to-back dense layers (many
+# sinks per sweep level, so commit conflicts and re-races).
+PROFILES = {
+    "mixed": [0.0, 0.05, 0.15, 0.4],
+    "sparse": [0.0, 0.0, 0.0, 0.03],
+    "burst": [0.3, 0.5],
+}
+
+
 def _random_stream_case(
     d, reg_size, thv, seed, n_rounds=8, sync_mode="generator",
-    kernel_backend=None,
+    profile="mixed",
 ):
     """Stream random layers through both machines, syncing at every IDLE."""
     lattice = PlanarLattice(d)
     rng = np.random.default_rng(seed)
-    engine = QecoolEngine(
-        lattice, thv=thv, reg_size=reg_size, kernel_backend=kernel_backend
-    )
+    engine = QecoolEngine(lattice, thv=thv, reg_size=reg_size)
     ref = ReferenceEngine(lattice, thv=thv, reg_size=reg_size)
     gen = engine.run(drain=False) if sync_mode == "generator" else None
 
     saw_overflow = False
     for k in range(n_rounds):
-        # Mix densities so streams hit thv waits, busy layers that back
-        # the Reg up toward overflow, and empty layers that pop through.
-        density = rng.choice([0.0, 0.05, 0.15, 0.4])
+        density = rng.choice(PROFILES[profile])
         row = (rng.random(lattice.n_ancillas) < density).astype(np.uint8)
         ok_engine = engine.push_layer(row)
         ok_ref = ref.push_layer(row)
@@ -92,26 +94,44 @@ def _random_stream_case(
     return saw_overflow
 
 
-@pytest.mark.parametrize("kernel_backend", BACKENDS)
 @pytest.mark.parametrize("d", [3, 5, 7])
 @pytest.mark.parametrize("reg_size", [None, 7])
 @pytest.mark.parametrize("thv", [-1, 3])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_streaming_equivalence(d, reg_size, thv, seed, kernel_backend):
+def test_streaming_equivalence(d, reg_size, thv, seed):
     _random_stream_case(
-        d, reg_size, thv, seed=1000 * d + 10 * (seed + 1) + (thv > 0),
-        kernel_backend=kernel_backend,
+        d, reg_size, thv, seed=1000 * d + 10 * (seed + 1) + (thv > 0)
     )
 
 
-@pytest.mark.parametrize("kernel_backend", BACKENDS)
 @pytest.mark.parametrize("d", [3, 5])
 @pytest.mark.parametrize("reg_size", [None, 7])
-def test_streaming_equivalence_sync_path(d, reg_size, kernel_backend):
+def test_streaming_equivalence_sync_path(d, reg_size):
     """run_to_idle (the deadline-free sync path) is the same machine."""
+    _random_stream_case(d, reg_size, thv=3, seed=97 * d, sync_mode="sync")
+
+
+@pytest.mark.parametrize("profile", ["sparse", "burst"])
+@pytest.mark.parametrize("d", [3, 5, 7])
+@pytest.mark.parametrize("reg_size", [None, 7])
+@pytest.mark.parametrize("thv", [-1, 3])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_streaming_equivalence_profiles(d, reg_size, thv, seed, profile):
+    """The streaming grid at the density extremes."""
     _random_stream_case(
-        d, reg_size, thv=3, seed=97 * d, sync_mode="sync",
-        kernel_backend=kernel_backend,
+        d, reg_size, thv, seed=1000 * d + 10 * (seed + 1) + (thv > 0) + 5,
+        n_rounds=12, profile=profile,
+    )
+
+
+@pytest.mark.parametrize("profile", ["sparse", "burst"])
+@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("reg_size", [None, 7])
+def test_streaming_equivalence_sync_path_profiles(d, reg_size, profile):
+    """The sync path at the density extremes."""
+    _random_stream_case(
+        d, reg_size, thv=3, seed=97 * d + 1, n_rounds=12, sync_mode="sync",
+        profile=profile,
     )
 
 

@@ -1,223 +1,242 @@
-"""The engine-kernel backend registry and its cross-backend contract.
+"""The engine kernels (``repro.core.kernels``) against scalar oracles.
 
-Registry mechanics (duplicate/unknown names, default resolution, the
-numba fallback path) plus direct kernel-level equivalence checks
-between the numpy backend and the loop backend on random slab states —
-a faster, more targeted complement to the full machine-level
-bit-identity suites (``test_engine_equivalence.py``,
-``test_engine_batch.py``), which also sweep every registered backend.
+The machine-level suites (``test_engine_equivalence.py``,
+``test_engine_batch.py``) pin whole decodes to ``ReferenceEngine``;
+these checks are the faster, more targeted complement: each vectorized
+kernel is compared, on reachable Reg states, with the scalar engine's
+own per-sink race (``QecoolEngine._winner_scalar``, a plain loop over
+lattice coordinates and port priorities) or with a plain-Python
+restatement of the kernel's contract.
+
+States come from pushing random layers into an unbounded scalar engine
+without decoding; the "full" case fills all 64 Reg layers, so sinks sit
+at base 63 (the two-step shift in ``race``) and cached winners reach
+depth 63 (the shift clip in ``valid_entries``).  A second, "cleared"
+state drops a random subset of those events, as commits would: winners
+raced on the full state are then stale-or-fresh cache entries for it.
 """
 
 from __future__ import annotations
 
-import json
-import warnings
-
 import numpy as np
 import pytest
 
-import repro.core.kernels as kernels
-from repro.core.kernels import (
-    KernelBackend,
-    available_kernel_backends,
-    default_kernel_backend,
-    get_kernel_backend,
-    numba_version,
-    register_kernel_backend,
-    resolve_kernel_backend,
-    warm_up,
-)
-from repro.service.session import SessionSpec
+from repro.core import kernels
+from repro.core.engine import MAX_LAYERS, QecoolEngine
+from repro.surface_code.lattice import PlanarLattice
+
+LATTICES = {d: PlanarLattice(d) for d in (3, 5, 7)}
+
+# (name, layers pushed, event density)
+CASES = [("shallow", 5, 0.25), ("deep", 33, 0.06), ("full", MAX_LAYERS, 0.08)]
 
 
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        names = available_kernel_backends()
-        assert "numpy" in names
-        assert "python" in names
-        assert "numba" in names
-
-    def test_unknown_name_lists_available(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            get_kernel_backend("no-such-backend")
-        with pytest.raises(ValueError, match="numpy"):
-            get_kernel_backend("no-such-backend")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_kernel_backend("numpy", lambda: None)
-
-    def test_instances_are_shared(self):
-        assert get_kernel_backend("numpy") is get_kernel_backend("numpy")
-
-    def test_default_is_numpy(self, monkeypatch):
-        monkeypatch.delenv(kernels.KERNEL_BACKEND_ENV, raising=False)
-        monkeypatch.setattr(kernels, "_default_name", None)
-        assert default_kernel_backend() == "numpy"
-
-    def test_env_var_overrides_default(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_default_name", None)
-        monkeypatch.setenv(kernels.KERNEL_BACKEND_ENV, "python")
-        assert default_kernel_backend() == "python"
-        assert resolve_kernel_backend(None).name == "python"
-
-    def test_set_default_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            kernels.set_default_kernel_backend("no-such-backend")
-
-    def test_resolve_passthrough_and_name(self):
-        backend = get_kernel_backend("numpy")
-        assert resolve_kernel_backend(backend) is backend
-        assert resolve_kernel_backend("python").name == "python"
-
-    def test_numba_fallback_warns_once_per_process(self, monkeypatch):
-        """Without numba, resolving 'numba' warns exactly once and
-        returns the numpy backend; later resolutions are silent (the
-        scheduler constructs engines continuously)."""
-        if numba_version() is not None:
-            pytest.skip("numba importable: the fallback path is dead here")
-        # Re-arm the once-per-process latch and drop the cached instance
-        # so this test observes a fresh first resolution.
-        monkeypatch.setattr(kernels, "_warned_fallback", set())
-        monkeypatch.setitem(kernels._instances, "numba", None)
-        kernels._instances.pop("numba", None)
-        with pytest.warns(UserWarning, match="falling back"):
-            backend = get_kernel_backend("numba")
-        assert backend.name == "numpy"
-        assert backend is get_kernel_backend("numpy")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            again = get_kernel_backend("numba")
-        assert again is backend
-
-    def test_warm_up_every_backend(self):
-        """warm_up drives every dispatched kernel on a tiny decode —
-        the CI JIT-cache priming entry point must work on all hosts."""
-        for name in ("numpy", "python"):
-            assert isinstance(warm_up(name), KernelBackend)
+def _engine(lattice, rows):
+    engine = QecoolEngine(lattice, thv=-1, reg_size=None)
+    for row in rows:
+        assert engine.push_layer(row)
+    return engine
 
 
-def _slab_state(seed, d=5, n_lanes=3, density=0.2):
-    """A random mid-decode slab state driven through a real batch
-    engine, so kernel inputs (masks, cached winners) are reachable
-    states rather than arbitrary bit soup."""
-    from repro.core.engine_batch import QecoolEngineBatch
-    from repro.surface_code.lattice import PlanarLattice
-
-    lattice = PlanarLattice(d)
+def _states(d, case, seed):
+    """Full and cleared scalar engines for one lane, plus the pending
+    clears (unit -> cleared bits) that lead from the first to the
+    second."""
+    _, n_layers, density = case
+    lattice = LATTICES[d]
     rng = np.random.default_rng(seed)
-    batch = QecoolEngineBatch(
-        lattice, thv=-1, reg_size=7, capacity=n_lanes,
-        kernel_backend="numpy",
+    rows = (rng.random((n_layers, lattice.n_ancillas)) < density).astype(
+        np.uint8
     )
-    lanes = np.asarray([batch.alloc_lane() for _ in range(n_lanes)])
-    for _ in range(3):
-        rows = (rng.random((n_lanes, lattice.n_ancillas)) < density).astype(
-            np.uint8
+    rows[0, 0] = rows[-1, -1] = 1  # a sink at the deepest pushed base
+    keep = (rng.random(rows.shape) < 0.7).astype(np.uint8)
+    keep[-1, -1] = 1
+    cleared_rows = rows & keep
+    pending: dict[int, int] = {}
+    for t, u in zip(*np.nonzero(rows & (1 - keep))):
+        pending[int(u)] = pending.get(int(u), 0) | (1 << int(t))
+    return _engine(lattice, rows), _engine(lattice, cleared_rows), pending
+
+
+def _lanes(d, case):
+    """Two independently seeded lanes: [(full, cleared, pending), ...]."""
+    base = 1000 * d + 10 * CASES.index(case)
+    return [_states(d, case, base + lane) for lane in range(2)]
+
+
+def _sinks(engine):
+    """Every (unit, base) whose unit holds the base bit — the triples
+    the engines' surveys race."""
+    return [
+        (idx, b)
+        for idx in sorted(engine._live)
+        for b in range(MAX_LAYERS)
+        if engine._mask_ints[idx] >> b & 1
+    ]
+
+
+def _triples(engines):
+    """Flattened (lane, sink, base) race requests over a lane slab."""
+    s, i, b = [], [], []
+    for lane, engine in enumerate(engines):
+        for idx, base in _sinks(engine):
+            s.append(lane)
+            i.append(idx)
+            b.append(base)
+    return tuple(np.asarray(xs, dtype=np.int64) for xs in (s, i, b))
+
+
+def _slab(engines):
+    return np.stack([engine._masks for engine in engines])
+
+
+params = pytest.mark.parametrize(
+    "d,case",
+    [(d, case) for d in (3, 5, 7) for case in CASES],
+    ids=[f"d{d}-{case[0]}" for d in (3, 5, 7) for case in CASES],
+)
+
+
+@params
+def test_race_matches_scalar_scan(d, case):
+    engines = [full for full, _, _ in _lanes(d, case)]
+    s, i, b = _triples(engines)
+    got = kernels.race(_slab(engines), s, i, b, engines[0]._geo)
+    want = [engines[lane]._winner_scalar(idx, base)
+            for lane, idx, base in zip(s.tolist(), i.tolist(), b.tolist())]
+    assert got.tolist() == want
+    if case[1] == MAX_LAYERS:
+        assert (b == MAX_LAYERS - 1).any()
+
+
+@params
+def test_winners_bulk_matches_scalar_scan(d, case):
+    for full, _, _ in _lanes(d, case):
+        sinks = _sinks(full)
+        got = kernels.winners_bulk(
+            full._masks,
+            full._live_units(),
+            np.asarray([idx for idx, _ in sinks], dtype=np.int64),
+            np.asarray([b for _, b in sinks], dtype=np.int64),
+            full._geo,
         )
-        batch.push_layers(lanes, rows)
-    return batch, lanes, rng
+        assert got.tolist() == [full._winner_scalar(idx, b) for idx, b in sinks]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-class TestKernelLevelEquivalence:
-    """numpy vs loop kernels on identical reachable slab states."""
+@params
+def test_race_one_sees_pending_clears(d, case):
+    """The commit scan's mid-level re-race, handed the pre-commit slab
+    plus pending clears, must see exactly the post-commit state."""
+    lanes = _lanes(d, case)
+    masks = _slab([full for full, _, _ in lanes])
+    geo = lanes[0][0]._geo
+    for lane, (full, cleared, pending) in enumerate(lanes):
+        for idx, b in _sinks(cleared):
+            assert kernels._race_one(
+                masks, lane, idx, b, pending, geo
+            ) == cleared._winner_scalar(idx, b)
+        for idx, b in _sinks(full)[::5]:
+            assert kernels._race_one(
+                masks, lane, idx, b, {}, geo
+            ) == full._winner_scalar(idx, b)
 
-    def test_race_and_valid_entries(self, seed):
-        batch, lanes, rng = _slab_state(seed)
-        npb = get_kernel_backend("numpy")
-        pyb = get_kernel_backend("python")
-        n = batch.lattice.n_ancillas
-        masks = batch._masks
-        # The race contract: unique (lane, sink, base) triples whose
-        # sink holds the base bit — exactly the triples the engines'
-        # surveys flatten out of live sink lists.
-        s, i = np.nonzero(masks[: len(lanes)])
-        b_all = []
-        for lane, unit in zip(s, i):
-            bits = int(masks[lane, unit])
-            b_all.append(min(d for d in range(64) if bits >> d & 1))
-        b = np.asarray(b_all, dtype=np.int64)
-        if not len(s):
-            pytest.skip("no events at this seed")
-        got_np = npb.race(masks, s, i, b, batch._geo)
-        got_py = pyb.race(masks, s, i, b, batch._geo)
-        np.testing.assert_array_equal(got_np, got_py)
-        entries = got_np.copy()
-        # Poison some entries so both validity branches are exercised.
-        entries[::3] = -1
-        v_np = npb.valid_entries(entries, masks, s, i, b, batch._geo)
-        v_py = pyb.valid_entries(entries, masks, s, i, b, batch._geo)
-        np.testing.assert_array_equal(v_np, v_py)
 
-    def test_winners_bulk(self, seed):
-        batch, lanes, rng = _slab_state(seed)
-        npb = get_kernel_backend("numpy")
-        pyb = get_kernel_backend("python")
-        n = batch.lattice.n_ancillas
-        masks1 = batch._masks[0]
-        live = np.flatnonzero(masks1).astype(np.int64)
-        if not live.size:
-            pytest.skip("empty lane 0 at this seed")
-        # Same contract as the scalar engine's missing-winner gather:
-        # unique (sink, base) pairs whose sink holds the base bit.
-        sinks = live
-        bases = np.asarray(
-            [
-                min(d for d in range(64) if int(masks1[u]) >> d & 1)
-                for u in live
-            ],
-            dtype=np.int64,
+@params
+def test_valid_entries_matches_scalar_check(d, case):
+    """Winners raced on the full state, checked against the cleared
+    one: fresh where the raced-to event survived, stale where it did
+    not, and never valid when absent (-1)."""
+    lanes = _lanes(d, case)
+    cleared = [c for _, c, _ in lanes]
+    s, i, b = _triples(cleared)
+    entries = np.asarray(
+        [lanes[lane][0]._winner_scalar(idx, base)
+         for lane, idx, base in zip(s.tolist(), i.tolist(), b.tolist())],
+        dtype=np.int64,
+    )
+    entries[::4] = -1
+    got = kernels.valid_entries(entries, _slab(cleared), s, i, b,
+                                cleared[0]._geo)
+    want = [
+        w >= 0 and cleared[lane]._packed_still_valid(w, idx, base)
+        for w, lane, idx, base in zip(
+            entries.tolist(), s.tolist(), i.tolist(), b.tolist()
         )
-        got_np = npb.winners_bulk(masks1, live, sinks, bases, batch._geo)
-        got_py = pyb.winners_bulk(masks1, live, sinks, bases, batch._geo)
-        np.testing.assert_array_equal(got_np, got_py)
-
-    def test_exposed_any_and_charge_empty(self, seed):
-        batch, lanes, rng = _slab_state(seed)
-        npb = get_kernel_backend("numpy")
-        pyb = get_kernel_backend("python")
-        sel = lanes
-        exposed = rng.integers(0, 4, len(sel))
-        got_np = npb.exposed_any(batch._masks, sel, exposed)
-        got_py = pyb.exposed_any(batch._masks, sel, exposed)
-        np.testing.assert_array_equal(got_np, got_py)
-        cycles = rng.integers(0, 100, 8).astype(np.int64)
-        popped = rng.integers(0, 5, 8).astype(np.int64)
-        calp = np.minimum(cycles, rng.integers(0, 50, 8)).astype(np.int64)
-        lanes_c = np.asarray([1, 4, 6], dtype=np.int64)
-        state_np = (cycles.copy(), popped.copy(), calp.copy())
-        state_py = (cycles.copy(), popped.copy(), calp.copy())
-        d_np = npb.charge_empty(*state_np, lanes_c, 11)
-        d_py = pyb.charge_empty(*state_py, lanes_c, 11)
-        np.testing.assert_array_equal(d_np, d_py)
-        for a, b in zip(state_np, state_py):
-            np.testing.assert_array_equal(a, b)
+    ]
+    assert got.tolist() == want
+    assert not all(want) and any(want)
 
 
-class TestSessionSpecBackend:
-    def test_round_trips_through_json(self):
-        spec = SessionSpec(d=5, p=0.004, seed=11, kernel_backend="python")
-        payload = json.loads(json.dumps(spec.to_payload()))
-        back = SessionSpec.from_payload(payload)
-        assert back == spec
-        assert back.kernel_backend == "python"
-
-    def test_default_is_none(self):
-        spec = SessionSpec(d=5, p=0.004, seed=11)
-        assert spec.kernel_backend is None
-        assert SessionSpec.from_payload(spec.to_payload()) == spec
-
-    def test_unknown_backend_rejected_at_validation(self):
-        spec = SessionSpec(
-            d=5, p=0.004, seed=11, kernel_backend="no-such-backend"
+@params
+def test_survey_need_is_exact_minimum(d, case):
+    """Minimum winner hops per group, from a slab mixing missing, fresh
+    and stale (lower-bound) entries, equals the brute-force minimum over
+    true winners; every entry it re-races is the true winner.  Grouped
+    per lane (as the engine does) and per sink (so every stale entry
+    that could beat its group's minimum must be re-raced)."""
+    lanes = _lanes(d, case)
+    cleared = [c for _, c, _ in lanes]
+    geo = cleared[0]._geo
+    n = LATTICES[d].n_ancillas
+    s, i, b = _triples(cleared)
+    keys = list(zip(s.tolist(), i.tolist(), b.tolist()))
+    true_hops = np.asarray(
+        [cleared[lane]._winner_scalar(idx, base) // geo.hops_div >> 1
+         for lane, idx, base in keys],
+        dtype=np.int64,
+    )
+    for pos in (s, np.arange(len(s), dtype=np.int64)):
+        n_top = int(pos.max()) + 1
+        win = np.full((len(lanes), n, MAX_LAYERS), -1, dtype=np.int64)
+        for k, (lane, idx, base) in enumerate(keys):
+            if k % 3:  # two thirds cached from the full state
+                win[lane, idx, base] = lanes[lane][0]._winner_scalar(idx, base)
+        before = win.copy()
+        win_dirty = np.zeros(len(lanes), dtype=bool)
+        need = kernels.survey_need(
+            _slab(cleared), win, win_dirty, s, i, b, pos, n_top, geo
         )
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            spec.validate()
+        want = np.full(n_top, 1 << 30, dtype=np.int64)
+        np.minimum.at(want, pos, true_hops)
+        np.testing.assert_array_equal(need, want)
+        assert win_dirty.all()
+        for lane, idx, base in keys:
+            if win[lane, idx, base] != before[lane, idx, base]:
+                assert win[lane, idx, base] == cleared[lane]._winner_scalar(
+                    idx, base
+                )
 
-    def test_known_backend_validates(self):
-        SessionSpec(d=5, p=0.004, seed=11, kernel_backend="numpy").validate()
 
-    def test_online_config_carries_backend(self):
-        spec = SessionSpec(d=5, p=0.004, seed=11, kernel_backend="python")
-        assert spec.online_config().kernel_backend == "python"
+@params
+def test_exposed_any_and_charge_empty(d, case):
+    lanes = _lanes(d, case)
+    engines = [full for full, _, _ in lanes] + [c for _, c, _ in lanes]
+    masks = _slab(engines)
+    rng = np.random.default_rng(d)
+    sel = np.asarray([3, 0, 2], dtype=np.int64)
+    exposed = rng.integers(0, case[1], len(sel))
+    got = kernels.exposed_any(masks, sel, exposed)
+    assert got.tolist() == [
+        any(m >> int(e) & 1 for m in engines[lane]._mask_ints)
+        for lane, e in zip(sel.tolist(), exposed.tolist())
+    ]
+    cycles = rng.integers(0, 100, 8).astype(np.int64)
+    popped = rng.integers(0, 5, 8).astype(np.int64)
+    at_pop = np.minimum(cycles, rng.integers(0, 50, 8)).astype(np.int64)
+    want_cycles, want_popped, want_at = (
+        cycles.tolist(), popped.tolist(), at_pop.tolist()
+    )
+    lane_ids = [1, 4, 6]
+    want_deltas = []
+    for lane in lane_ids:
+        want_cycles[lane] += 11
+        want_popped[lane] += 1
+        want_deltas.append(want_cycles[lane] - want_at[lane])
+        want_at[lane] = want_cycles[lane]
+    deltas = kernels.charge_empty(
+        cycles, popped, at_pop, np.asarray(lane_ids, dtype=np.int64), 11
+    )
+    assert deltas.tolist() == want_deltas
+    assert cycles.tolist() == want_cycles
+    assert popped.tolist() == want_popped
+    assert at_pop.tolist() == want_at

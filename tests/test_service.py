@@ -24,7 +24,7 @@ from repro.service import (
     SessionSpec,
     SessionState,
 )
-from repro.service.metrics import ServiceMetrics, _Decimated
+from repro.service.metrics import ServiceMetrics, _Mean
 from repro.surface_code.lattice import PlanarLattice
 from repro.surface_code.noise import PhenomenologicalNoise
 from repro.surface_code.syndrome import detection_events
@@ -85,6 +85,17 @@ class TestSessionSpec:
         dict(noise="bogus"),
         dict(noise="drift", noise_params={"no_such_param": 1}),
         dict(noise_params="not-a-dict"),
+        # Wrong types a JSON client can send: each must be a ValueError
+        # (shed as bad-spec), never a TypeError from the shared step.
+        dict(seed=1.5), dict(seed="x"), dict(seed=True), dict(seed=-1),
+        dict(seed=None), dict(thv=2.5), dict(d=9.0), dict(d="9"),
+        dict(n_rounds=True), dict(n_rounds=5.0), dict(window=2.0),
+        dict(commit=True), dict(reg_size=7.0), dict(reg_size=False),
+        dict(p=True), dict(p="0.01"), dict(p=float("nan")),
+        dict(q=float("nan")), dict(q=False),
+        dict(frequency_hz=float("inf")), dict(frequency_hz="2e9"),
+        dict(measurement_interval_s=float("inf")),
+        dict(measurement_interval_s=True),
     ])
     def test_validation(self, bad):
         spec = SessionSpec(**{"d": 5, "p": 0.01, "seed": 1, **bad})
@@ -147,55 +158,6 @@ class TestSchedulerBitIdentity:
         for session in (early, late):
             assert_session_matches_trial(session)
 
-    def test_sessions_bit_identical_across_kernel_backends(self):
-        """The same seed decodes to the same matches, cycles and
-        failure verdict whatever kernel backend the session (or the
-        scheduler default) picks — including 'numba', which falls back
-        to numpy on hosts without it."""
-        from repro.core.kernels import available_kernel_backends
-
-        def run(backend):
-            scheduler = MicroBatchScheduler(
-                SchedulerConfig(max_active=8, kernel_backend=backend)
-            )
-            sessions = [
-                scheduler.submit(
-                    SessionSpec(
-                        d=5, p=0.03, seed=300 + i, n_rounds=6,
-                        kernel_backend=backend,
-                    )
-                )
-                for i in range(3)
-            ]
-            # Sparse co-tenant exercising the pooled-scalar path too.
-            sessions.append(
-                scheduler.submit(
-                    SessionSpec(d=5, p=0.0, seed=310, n_rounds=6,
-                                kernel_backend=backend)
-                )
-            )
-            scheduler.run_until_idle()
-            return [
-                (
-                    s.result.failed, s.result.overflow, s.result.matches,
-                    s.result.layer_cycles,
-                )
-                for s in sessions
-            ]
-
-        baseline = run(None)
-        for backend in available_kernel_backends():
-            if backend == "numba":
-                # Resolving 'numba' without numba warns (by design);
-                # keep this test warning-clean on either kind of host.
-                import warnings
-
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)
-                    assert run(backend) == baseline
-            else:
-                assert run(backend) == baseline
-
     def test_recycled_engines_stay_bit_identical(self):
         """Back-to-back dense sessions of one shape reuse batch-engine
         lanes; the second batch must not see any first-batch residue."""
@@ -240,6 +202,17 @@ class TestSchedulerBitIdentity:
 
 
 class TestSchedulerLifecycle:
+    def test_bad_spec_leaves_co_tenant_bit_identical(self):
+        """A spec refused at submit (a float seed, which would raise
+        inside the shared step()) leaves its co-tenant bit-identical."""
+        scheduler = MicroBatchScheduler(SchedulerConfig(max_active=8))
+        good = scheduler.submit(SessionSpec(d=5, p=0.03, seed=21, n_rounds=6))
+        with pytest.raises(ValueError, match="seed"):
+            scheduler.submit(SessionSpec(d=5, p=0.03, seed=1.5, n_rounds=6))
+        scheduler.run_until_idle()
+        assert scheduler.metrics.submitted == 1
+        assert_session_matches_trial(good)
+
     def test_backpressure_raises_and_counts(self):
         scheduler = MicroBatchScheduler(SchedulerConfig(max_active=1, max_queue=2))
         spec = SessionSpec(d=3, p=0.01, seed=1)
@@ -406,7 +379,7 @@ class TestWindowSessions:
         ]
         scheduler.step()
         # Same shape group: one micro-batch carried all six sessions.
-        assert scheduler.metrics.step_batch_sessions.samples[-1] == 6
+        assert scheduler.metrics.step_batch_sessions.mean() == 6
         scheduler.run_until_idle()
         for session in online:
             assert_session_matches_trial(session)
@@ -478,23 +451,14 @@ class TestDynamicMembership:
 
 
 class TestMetrics:
-    def test_decimator_keeps_uniform_sample(self):
-        series = _Decimated(cap=8)
-        for i in range(100):
-            series.add(float(i))
-        assert series.n_seen == 100
-        assert len(series.samples) < 8
-        assert series.stride > 1
-        # Thinned but unbiased: the retained mean tracks the stream mean.
-        assert series.mean() == pytest.approx(np.mean(np.arange(100)), rel=0.35)
-
-    def test_weighted_percentiles(self):
-        series = _Decimated(cap=64)
-        series.add(1.0, weight=99)
-        series.add(100.0, weight=1)
-        p50, p99 = series.percentiles((50.0, 99.0))
-        assert p50 == 1.0
-        assert p99 == 100.0
+    def test_occupancy_mean_is_exact(self):
+        series = _Mean()
+        assert series.mean() is None
+        values = [(7 * i) % 13 for i in range(10_000)]  # > 4096 adds
+        for value in values:
+            series.add(value)
+        assert series.n == len(values)
+        assert series.mean() == sum(values) / len(values)
 
     def test_snapshot_is_json_safe_when_empty(self):
         import json

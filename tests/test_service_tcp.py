@@ -192,6 +192,23 @@ class TestTcpFrontEnd:
             with pytest.raises(ServiceError, match="bad-spec"):
                 client.decode({"d": 4, "p": 0.01, "seed": 1})
 
+    def test_wrong_typed_spec_is_bad_spec(self, tcp_service):
+        """JSON numbers of the wrong kind are shed at validation, and
+        the same connection keeps decoding exactly."""
+        host, port, _ = tcp_service
+        with ServiceClient(host=host, port=port) as client:
+            for bad in ({"seed": 1.5}, {"seed": -1}, {"d": "3"},
+                        {"n_rounds": True}):
+                with pytest.raises(ServiceError, match="bad-spec"):
+                    client.decode({"d": 3, "p": 0.01, "seed": 1, **bad})
+            spec = SessionSpec(d=3, p=0.02, seed=315)
+            result = client.decode(spec)
+        reference = run_online_trial(
+            PlanarLattice(spec.d), spec.p, spec.rounds,
+            spec.online_config(), rng=spec.seed,
+        )
+        assert result["matches"] == wire_matches(reference.matches)
+
     def test_bogus_noise_is_rejected_and_scheduler_survives(self, tcp_service):
         """A noise spec that only blows up at noise-model resolution must
         be shed as ``bad-spec`` at validation — before it reaches the
