@@ -376,15 +376,14 @@ class StreamingShotState:
     The plumbing every shot kind needs — the physical error row, the
     previous raw syndrome, the pending correction compensation, the
     noise substream and its python-float rate table, and the round
-    counter.  All of it is **slab-resident**: state lives in the rows
-    of a :class:`StreamingBlock` (a shared one when batched — the
-    decode service allocates one row per admission — or a private
-    single-row block otherwise), and the shot object is a *shim* over
-    its row: attribute access reads/writes the slab, so per-shot and
-    vectorized advances see the same state.  Concrete shots
-    (:class:`OnlineShot` here, ``WindowShot`` in
-    :mod:`repro.service.session`) add their decode state and implement
-    ``step()``, ``finish_pair()`` and ``finalize()``.
+    counter.  All of it is **slab-resident**: state lives in one row of
+    the :class:`StreamingBlock` the shot is built on (the decode
+    service allocates one row per admission; the owner releases it at
+    retirement), and the shot's ``error``/``prev_raw``/``compensation``
+    are views into that row.  Concrete shots (:class:`OnlineShot`
+    here, ``WindowShot`` in :mod:`repro.service.session`) add their
+    decode state and implement ``finish_pair()`` and ``finalize()``,
+    plus ``step()`` unless they ride a batch-engine lane.
     """
 
     __slots__ = (
@@ -399,7 +398,7 @@ class StreamingShotState:
         noise: NoiseModel,
         n_rounds: int,
         rng: np.random.Generator | int | None,
-        block: StreamingBlock | None,
+        block: StreamingBlock,
     ):
         if n_rounds < 1:
             raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
@@ -407,11 +406,6 @@ class StreamingShotState:
         self.noise = noise
         self.n_rounds = n_rounds
         self.rng = _shot_rng(rng)
-        # State rows: a shared StreamingBlock when batched (row released
-        # by the owner at retirement), a private single-row block
-        # otherwise — identical layout and semantics either way.
-        if block is None:
-            block = StreamingBlock(lattice, capacity=1)
         self.block = block
         self.row = block.alloc()
         self.rebind()
@@ -459,11 +453,6 @@ class StreamingShotState:
         self.prev_raw = self.block.prev[self.row]
         self.compensation = self.block.comp[self.row]
 
-    def rates(self) -> tuple[float, float]:
-        """This round's (data, measurement) flip rates — exactly what
-        ``noise.sample_round(..., t=k, n_rounds=n_rounds)`` would use."""
-        return self._rates[self.k]
-
 
 class OnlineShot(StreamingShotState):
     """Streaming state of one online decode, advanced round by round.
@@ -475,10 +464,10 @@ class OnlineShot(StreamingShotState):
     state, the previous raw syndrome, the pending correction
     compensation, the wall clock and the noise substream — bundled so
     shots can be **added to or removed from a running batch between
-    rounds**.  :func:`advance_streaming_round` advances any set of
-    same-lattice shots one round in lock-step; a shot fed one round at
-    a time evolves bit-identically to :func:`run_online_trial` on the
-    same seed, whatever other shots share its batches.
+    rounds**.  :func:`advance_streaming_round` advances a roster of
+    shots on one block in lock-step; a shot fed one round at a time
+    evolves bit-identically to :func:`run_online_trial` on the same
+    seed, whatever other shots share its batches.
     """
 
     __slots__ = (
@@ -496,8 +485,8 @@ class OnlineShot(StreamingShotState):
         n_rounds: int,
         config: OnlineConfig,
         rng: np.random.Generator | int | None,
+        block: StreamingBlock,
         engine: QecoolEngine | None = None,
-        block: StreamingBlock | None = None,
         batch: QecoolEngineBatch | None = None,
     ):
         super().__init__(lattice, noise, n_rounds, rng, block)
@@ -545,37 +534,6 @@ class OnlineShot(StreamingShotState):
                 None if self._unconstrained else self.engine.run(drain=False)
             )
 
-    # Slab-resident session state: the wall clock, engine-idle flag and
-    # consumed-match cursor live in the shot's StreamingBlock row so
-    # whole-batch advances read/write them as vector gathers/scatters;
-    # these shims keep the per-shot (scalar-engine) paths working on
-    # the same state.
-
-    @property
-    def wall(self) -> float:
-        """Decoder-cycle wall clock (slab-resident)."""
-        return float(self.block.wall[self.row])
-
-    @wall.setter
-    def wall(self, value: float) -> None:
-        self.block.wall[self.row] = value
-
-    @property
-    def _at_idle(self) -> bool:
-        return bool(self.block.at_idle[self.row])
-
-    @_at_idle.setter
-    def _at_idle(self, value: bool) -> None:
-        self.block.at_idle[self.row] = value
-
-    @property
-    def _consumed(self) -> int:
-        return int(self.block.consumed[self.row])
-
-    @_consumed.setter
-    def _consumed(self, value: int) -> None:
-        self.block.consumed[self.row] = value
-
     def release(self) -> None:
         """Return the shot's batch lane (after its outcome is built)."""
         if self._batch is not None and self._lane >= 0:
@@ -609,7 +567,8 @@ class OnlineShot(StreamingShotState):
     def step(
         self, events_row: np.ndarray, empty: bool
     ) -> tuple[str, np.ndarray | None]:
-        """Consume round ``k``'s detection events; decode under the clock.
+        """Consume round ``k``'s detection events on the scalar engine;
+        decode under the clock.
 
         ``events_row`` is the round's detection-event layer, already
         XOR-folded against ``prev_raw``/``compensation`` by the caller
@@ -618,14 +577,10 @@ class OnlineShot(StreamingShotState):
         ``(status, correction)`` with status ``"running"``/``"done"``/
         ``"overflow"``; a non-None correction has been applied to
         ``error`` and still needs its compensation syndrome (batched by
-        the caller into ``compensation``).
+        the caller into ``compensation``).  Shots on a batch-engine
+        lane never come here: the round advances them in
+        :func:`_advance_batch_rows`.
         """
-        if self._batch is not None:
-            return _advance_batch_group(
-                self._batch, [self],
-                np.asarray(events_row, dtype=np.uint8)[None, :],
-                [empty],
-            )[0]
         block, row = self.block, self.row
         k = int(block.k[row])
         final = k == self.n_rounds
@@ -708,134 +663,24 @@ class OnlineShot(StreamingShotState):
         )
 
 
-def _advance_batch_group(
-    batch: QecoolEngineBatch,
-    shots: list["OnlineShot"],
-    events: np.ndarray,
-    empties: Sequence[bool],
-) -> list[tuple[str, np.ndarray | None]]:
-    """One round's :meth:`OnlineShot.step` for every lane of one batch
-    engine, with the per-shot engine work batched.
-
-    Mirrors the scalar ``step`` case for case: the two empty-layer fast
-    entries dispatch vectorized (``empty_layers_fast`` /
-    ``try_push_empty``), pushes land in one slab pass, and the decode —
-    under each shot's own wall clock and interval deadline — runs
-    through the batch engine's lock-step Controller.  Returns the
-    per-shot ``(status, correction)`` pairs in input order.
-    """
-    results: list = [None] * len(shots)
-    fast_idle: list[int] = []
-    fast_try: list[int] = []
-    pushes: list[int] = []
-    # Inlined batch.is_parked / is_empty_idle (this classification runs
-    # once per shot per round — the service's per-session hot path).
-    parked_arr, cursors = batch._parked, batch._cursors
-    m_arr, drain_arr = batch._m, batch._drain
-    for j, shot in enumerate(shots):
-        lane = shot._lane
-        if (
-            empties[j]
-            and shot.k != shot.n_rounds
-            and shot._at_idle
-            and parked_arr[lane]
-            and lane not in cursors
-        ):
-            if not m_arr[lane] and not drain_arr[lane]:
-                fast_idle.append(j)
-            else:
-                fast_try.append(j)
-        else:
-            pushes.append(j)
-    if fast_idle:
-        lanes = np.fromiter(
-            (shots[j]._lane for j in fast_idle), np.int64, len(fast_idle)
-        )
-        costs = batch.empty_layers_fast(lanes).tolist()
-        for j, cost in zip(fast_idle, costs):
-            shot = shots[j]
-            if not shot._unconstrained:
-                shot.wall = max(shot.wall, shot.k * shot._budget) + cost
-            shot.k += 1
-            results[j] = ("running", None)
-    if fast_try:
-        lanes = np.fromiter(
-            (shots[j]._lane for j in fast_try), np.int64, len(fast_try)
-        )
-        for j, res in zip(fast_try, batch.try_push_empty(lanes).tolist()):
-            shot = shots[j]
-            if res == 1:
-                if not shot._unconstrained:
-                    shot.wall = max(shot.wall, shot.k * shot._budget)
-                shot.k += 1
-                results[j] = ("running", None)
-            elif res == 0:
-                shot._overflow_outcome()
-                results[j] = ("overflow", None)
-            else:
-                pushes.append(j)  # a sink would be exposed: simulate
-    if not pushes:
-        return results
-    lanes = np.fromiter((shots[j]._lane for j in pushes), np.int64, len(pushes))
-    ok = batch.push_layers(lanes, events[pushes])
-    decode: list[int] = []
-    for j, okj in zip(pushes, ok.tolist()):
-        if okj:
-            decode.append(j)
-        else:
-            shots[j]._overflow_outcome()
-            results[j] = ("overflow", None)
-    if not decode:
-        return results
-    lanes = np.fromiter((shots[j]._lane for j in decode), np.int64, len(decode))
-    finals = np.fromiter(
-        (shots[j].k == shots[j].n_rounds for j in decode), bool, len(decode)
-    )
-    if finals.any():
-        batch.begin_drain(lanes[finals])
-    wall = np.zeros(len(decode), dtype=np.float64)
-    deadline = np.full(len(decode), math.inf)
-    for jj, j in enumerate(decode):
-        shot = shots[j]
-        if not shot._unconstrained:
-            shot.wall = max(shot.wall, shot.k * shot._budget)
-            wall[jj] = shot.wall
-            if not finals[jj]:
-                deadline[jj] = (shot.k + 1) * shot._budget
-    statuses = batch.decode(lanes, wall, deadline)
-    for jj, j in enumerate(decode):
-        shot = shots[j]
-        if not shot._unconstrained:
-            shot.wall = float(wall[jj])
-        shot._at_idle = statuses[jj] != LANE_SUSPENDED
-        shot.k += 1
-        lane_matches = batch.matches_of(shot._lane)
-        new_matches = lane_matches[shot._consumed :]
-        shot._consumed = len(lane_matches)
-        correction = None
-        if new_matches:
-            correction = correction_from_matches(shot.lattice, new_matches)
-            shot.error ^= correction
-        results[j] = (("done" if finals[jj] else "running"), correction)
-    return results
-
-
 class StreamingRoster:
-    """Precomputed dispatch structure for a fixed set of slab shots.
+    """The input of :func:`advance_streaming_round`: a fixed set of
+    shots on one :class:`StreamingBlock`, with its per-round dispatch
+    precomputed.
 
-    Building the per-round dispatch — the row gather index, the
-    batch-engine lane groupings, the per-shot-fallback list — takes a
-    Python pass over the shots.  A roster caches that pass, so a
-    scheduler advancing the same membership round after round pays it
-    once per membership *change* rather than once per round
-    (:func:`advance_streaming_round` builds a throwaway roster when
-    none is passed).  Any membership change — admission, retirement,
-    overflow — invalidates the roster; build a fresh one.
+    Building the dispatch — the row gather index, the batch-engine
+    lane groupings, the per-shot ``step`` list — takes a Python pass
+    over the shots.  A roster caches that pass, so a caller advancing
+    the same membership round after round pays it once per membership
+    *change* rather than once per round.  Any membership change —
+    admission, retirement, overflow — invalidates the roster; build a
+    fresh one.
     """
 
-    __slots__ = ("shots", "rows", "parts", "object_idx")
+    __slots__ = ("block", "shots", "rows", "parts", "object_idx")
 
     def __init__(self, block: StreamingBlock, shots: Sequence) -> None:
+        self.block = block
         self.shots = list(shots)
         for shot in self.shots:
             if shot.block is not block:
@@ -891,11 +736,10 @@ def _advance_batch_rows(
     """One round's engine advance for every lane of one batch engine,
     with the session state vectorized over the shots' slab rows.
 
-    The slab-native counterpart of :func:`_advance_batch_group`: the
-    same case-for-case mirror of the scalar :meth:`OnlineShot.step` —
+    A case-for-case mirror of the scalar :meth:`OnlineShot.step` —
     the two empty-layer fast entries, the slab push, the lock-step
     decode under each shot's own wall clock and interval deadline —
-    but the wall/round/idle/consumed bookkeeping runs as masked vector
+    with the wall/round/idle/consumed bookkeeping run as masked vector
     arithmetic on the block's session slabs (``finite`` masks every
     wall product so an unconstrained row never multiplies into
     ``inf``).  The only per-shot Python left on the running path is
@@ -1016,13 +860,10 @@ def _finalize_done(lattice: PlanarLattice, done: list) -> None:
 
 
 def advance_streaming_round(
-    lattice: PlanarLattice,
-    shots: Sequence["OnlineShot"],
-    block: StreamingBlock | None = None,
-    roster: StreamingRoster | None = None,
-    tracer=None,
+    roster: StreamingRoster, tracer=None
 ) -> tuple[list, list]:
-    """Advance every shot one measurement round, batched across shots.
+    """Advance every shot of ``roster`` one measurement round, batched
+    across shots.
 
     The micro-batching kernel: per-round noise sampling (each shot's
     own substream and schedule — shots may sit at *different* round
@@ -1031,36 +872,30 @@ def advance_streaming_round(
     correction-compensation syndromes *and the per-session state
     bookkeeping* (round cursors, wall clocks, idle flags,
     consumed-match cursors) each run as one vectorized pass over the
-    batch's slab rows.  Membership is free to change between calls —
-    that is what the decode service's scheduler does — and every
-    shot's evolution is bit-identical to running it alone
-    (``tests/test_online.py``, ``tests/test_service.py``).
+    roster's slab rows in ``roster.block``.  Membership is free to
+    change between calls — build a new :class:`StreamingRoster`, as
+    the decode service's scheduler does — and every shot's evolution
+    is bit-identical to running it alone (``tests/test_online.py``,
+    ``tests/test_service.py``).
 
-    ``shots`` may mix any objects implementing the streaming-shot
-    protocol (see :class:`OnlineShot`) on the same lattice.  When
-    every shot's state rows live in ``block`` (a shared
-    :class:`StreamingBlock`), pass it — and, for repeated same-
-    membership rounds, a cached :class:`StreamingRoster` — so the
-    per-round state traffic runs as whole-batch gathers/scatters
-    instead of per-shot row copies.  Returns ``(running, finished)``;
-    ``running`` preserves input order and finished shots have
-    ``outcome`` set.
+    The roster's shots may mix any objects implementing the
+    streaming-shot protocol (see :class:`StreamingShotState`): shots
+    on a batch-engine lane advance per engine in
+    :func:`_advance_batch_rows`, every other shot through its own
+    ``step``.  Returns ``(running, finished)``; ``running`` preserves
+    roster order and finished shots have ``outcome`` set.
 
     ``tracer`` (a :class:`repro.obs.trace.Tracer`, or ``None`` — the
-    default) times the round's three sections on the slab path — noise
-    gather, batch-lane advance, scalar advance — as spans.  Tracing
-    only reads a clock; it never touches decode state, so traced and
-    untraced rounds are bit-identical.
+    default) times the round's three sections — noise gather,
+    batch-lane advance, scalar advance — as spans.  Tracing only reads
+    a clock; it never touches decode state, so traced and untraced
+    rounds are bit-identical.
     """
-    if roster is not None:
-        shots = roster.shots
-    n = len(shots)
-    if not n:
+    shots = roster.shots
+    if not shots:
         return [], []
-    if block is None:
-        return _advance_round_views(lattice, shots)
-    if roster is None:
-        roster = StreamingRoster(block, shots)
+    block = roster.block
+    lattice = block.lattice
     if tracer is not None:
         t = tracer.clock()
     rows = roster.rows
@@ -1144,97 +979,6 @@ def advance_streaming_round(
     return [s for s in shots if id(s) not in drop], finished
 
 
-def _advance_round_views(
-    lattice: PlanarLattice, shots: Sequence["OnlineShot"]
-) -> tuple[list, list]:
-    """Blockless advance: shots whose state rows live in *different*
-    blocks (private single-row blocks, typically) advance through
-    their per-shot views — the pre-slab object path, kept as the
-    bit-identity oracle and for direct step-by-step drivers."""
-    n = len(shots)
-    noisy = [i for i, s in enumerate(shots) if s.k < s.n_rounds]
-    if noisy:
-        nn = len(noisy)
-        n_data = lattice.n_data
-        uniforms = np.empty((nn, n_data + lattice.n_ancillas))
-        rates = []
-        for j, i in enumerate(noisy):
-            shot = shots[i]
-            if shot.block.has_u[shot.row]:
-                uniforms[j] = shot.block.u[shot.row, shot.k]
-            else:
-                shot.rng.random(out=uniforms[j])
-            rates.append(shot._rates[shot.k])
-        pq = np.asarray(rates)
-        data_flips = (uniforms[:, :n_data] < pq[:, 0:1]).view(np.uint8)
-        meas_flips = (uniforms[:, n_data:] < pq[:, 1:2]).view(np.uint8)
-        for j, i in enumerate(noisy):
-            shot = shots[i]
-            np.bitwise_xor(shot.error, data_flips[j], out=shot.error)
-    errors = np.empty((n, lattice.n_data), dtype=np.uint8)
-    prev = np.empty((n, lattice.n_ancillas), dtype=np.uint8)
-    comp = np.empty((n, lattice.n_ancillas), dtype=np.uint8)
-    for i, shot in enumerate(shots):
-        errors[i] = shot.error
-        prev[i] = shot.prev_raw
-        comp[i] = shot.compensation
-    raws = lattice.syndrome_of_batch(errors)
-    if noisy:
-        raws[noisy] ^= meas_flips
-    events = raws ^ prev ^ comp
-    for i, shot in enumerate(shots):
-        shot.prev_raw[:] = raws[i]
-        shot.compensation.fill(0)
-    nonempty = events.any(axis=1)
-
-    # Shots bound to a shot-major batch engine advance together, one
-    # batched group step per engine; everything else (scalar-engine
-    # online shots, window shots) takes its per-shot ``step``.
-    batch_results: dict[int, tuple] = {}
-    groups: dict[int, tuple[QecoolEngineBatch, list[int]]] = {}
-    for i, shot in enumerate(shots):
-        batch = getattr(shot, "_batch", None)
-        if batch is not None:
-            groups.setdefault(id(batch), (batch, []))[1].append(i)
-    for batch, idxs in groups.values():
-        group_results = _advance_batch_group(
-            batch,
-            [shots[i] for i in idxs],
-            events[idxs],
-            (~nonempty[idxs]).tolist(),
-        )
-        batch_results.update(zip(idxs, group_results))
-
-    running: list = []
-    done: list = []
-    finished: list = []
-    corrected: list = []
-    corrections: list[np.ndarray] = []
-    for i, shot in enumerate(shots):
-        if i in batch_results:
-            status, correction = batch_results[i]
-        else:
-            status, correction = shot.step(events[i], not nonempty[i])
-        if status == "overflow":
-            finished.append(shot)
-            continue
-        if status == "running":
-            if correction is not None:
-                corrected.append(shot)
-                corrections.append(correction)
-            running.append(shot)
-        else:
-            done.append(shot)
-    if corrections:
-        comp_rows = lattice.syndrome_of_batch(np.stack(corrections))
-        for shot, row in zip(corrected, comp_rows):
-            shot.compensation[:] = row
-    if done:
-        _finalize_done(lattice, done)
-        finished.extend(done)
-    return running, finished
-
-
 def run_online_chunk(
     lattice: PlanarLattice,
     p: float | NoiseModel,
@@ -1271,10 +1015,12 @@ def run_online_chunk(
         else None
     )
     shots = [
-        OnlineShot(lattice, noise, n_rounds, config, rng, block=block, batch=batch)
+        OnlineShot(lattice, noise, n_rounds, config, rng, block, batch=batch)
         for rng in rngs
     ]
-    active: list = list(shots)
+    roster = StreamingRoster(block, shots)
     for _ in range(n_rounds + 1):
-        active, _ = advance_streaming_round(lattice, active, block=block)
+        running, finished = advance_streaming_round(roster)
+        if finished:
+            roster = StreamingRoster(block, running)
     return [shot.outcome for shot in shots]  # type: ignore[misc]

@@ -146,10 +146,9 @@ class _ShapeGroup:
     next :meth:`MicroBatchScheduler.step`.
     """
 
-    __slots__ = ("lattice", "block", "sessions", "roster")
+    __slots__ = ("block", "sessions", "roster")
 
     def __init__(self, lattice: PlanarLattice):
-        self.lattice = lattice
         self.block = StreamingBlock(lattice, capacity=64)
         self.sessions: list[DecodeSession] = []
         self.roster: StreamingRoster | None = None
@@ -429,10 +428,7 @@ class MicroBatchScheduler:
                 )
                 if tracer is not None:
                     tracer.add("scheduler.roster_build", t, self._clock() - t)
-            running, done = advance_streaming_round(
-                group.lattice, roster.shots, block=group.block, roster=roster,
-                tracer=tracer,
-            )
+            running, done = advance_streaming_round(roster, tracer=tracer)
             if done:
                 if tracer is not None:
                     t = self._clock()

@@ -287,7 +287,7 @@ class WindowShot(StreamingShotState):
         n_rounds: int,
         decoder: SlidingWindowDecoder,
         rng: np.random.Generator | int | None,
-        block: StreamingBlock | None = None,
+        block: StreamingBlock,
     ):
         super().__init__(lattice, noise, n_rounds, rng, block)
         self.decoder = decoder

@@ -386,3 +386,29 @@ class TestStatsTable:
         table = render_table({"completed": 3})
         assert "completed" in table
         assert "span" not in table.lower().split()  # no trace section
+
+
+class TestTracedServeTargets:
+    """``e2ebench/serve_traced.py`` wraps program callables by
+    ``vars(owner)[attr]``; a rename or a move to a base class would
+    break ``--trace 1`` only at serve time.  Check every target here."""
+
+    def test_every_target_is_a_callable_own_attribute(self, monkeypatch):
+        import importlib.util
+        import sys
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "e2ebench" / "serve_traced.py"
+        # The module puts its own directory on sys.path; undo that after.
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        spec = importlib.util.spec_from_file_location("serve_traced", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        targets = module._traced_targets()
+        assert targets
+        for owner, attr, _name in targets:
+            assert attr in vars(owner), f"{owner!r} has no own {attr!r}"
+            value = vars(owner)[attr]
+            if isinstance(value, classmethod):
+                value = value.__func__
+            assert callable(value), f"{owner!r}.{attr} is not callable"

@@ -15,7 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.online import OnlineShot, StreamingBlock, advance_streaming_round, run_online_trial
+from repro.core.online import (
+    OnlineShot,
+    StreamingBlock,
+    StreamingRoster,
+    advance_streaming_round,
+    run_online_trial,
+)
 from repro.core.window import SlidingWindowDecoder
 from repro.service import (
     Backpressure,
@@ -179,8 +185,8 @@ class TestSchedulerBitIdentity:
     def test_recycled_scalar_engines_stay_bit_identical(self, monkeypatch):
         """Sessions below BATCH_EVENT_CUTOFF dispatch to pooled scalar
         engines; a recycled (reset) engine must show no residue of its
-        previous session.  The production cutoff is 0 (everything rides
-        the batch engine), so pin it high to force the scalar path."""
+        previous session.  Pin the cutoff high so every session takes
+        the scalar path, whatever its event rate."""
         import repro.service.scheduler as scheduler_module
 
         monkeypatch.setattr(scheduler_module, "BATCH_EVENT_CUTOFF", 1e9)
@@ -397,34 +403,38 @@ class TestWindowSessions:
 
 
 class TestDynamicMembership:
-    """advance_streaming_round with hand-managed membership."""
+    """advance_streaming_round with hand-managed rosters."""
 
     def test_join_a_running_batch(self, d5):
+        block = StreamingBlock(d5, capacity=4)
         noise = PhenomenologicalNoise(0.03)
         config = SessionSpec(d=5, p=0.03, seed=0).online_config()
-        solo = OnlineShot(d5, noise, 6, config, rng=61)
-        batch = [solo]
+        solo = OnlineShot(d5, noise, 6, config, rng=61, block=block)
+        running = [solo]
         for _ in range(3):
-            batch, _ = advance_streaming_round(d5, batch)
-        joiner = OnlineShot(d5, noise, 6, config, rng=62)
-        batch.append(joiner)
-        while batch:
-            batch, _ = advance_streaming_round(d5, batch)
+            running, _ = advance_streaming_round(StreamingRoster(block, running))
+        # Admitted mid-stream: the joiner starts at round 0 while the
+        # solo shot is at round 3.
+        joiner = OnlineShot(d5, noise, 6, config, rng=62, block=block)
+        running.append(joiner)
+        while running:
+            running, _ = advance_streaming_round(StreamingRoster(block, running))
         for shot, seed in ((solo, 61), (joiner, 62)):
             reference = run_online_trial(d5, 0.03, 6, config, rng=seed)
             assert shot.outcome.matches == reference.matches
             assert shot.outcome.layer_cycles == reference.layer_cycles
 
-    def test_blockless_shot_in_slab_batch_rejected(self, d5):
-        """A block-less shot (row == -1) passed with block= would alias
-        the slab's last row; the advance must refuse, not corrupt."""
+    def test_shot_from_another_block_rejected(self, d5):
+        """A shot whose row indexes a *second* block would alias a row
+        of this one's slabs; the roster must refuse, not corrupt."""
         block = StreamingBlock(d5, capacity=4)
+        other = StreamingBlock(d5, capacity=4)
         noise = PhenomenologicalNoise(0.02)
         config = SessionSpec(d=5, p=0.02, seed=0).online_config()
         good = OnlineShot(d5, noise, 5, config, rng=1, block=block)
-        stray = OnlineShot(d5, noise, 5, config, rng=2)  # private rows
+        stray = OnlineShot(d5, noise, 5, config, rng=2, block=other)
         with pytest.raises(ValueError, match="row"):
-            advance_streaming_round(d5, [good, stray], block=block)
+            StreamingRoster(block, [good, stray])
 
     def test_block_grow_rebinds(self, d5):
         block = StreamingBlock(d5, capacity=2)
@@ -434,8 +444,7 @@ class TestDynamicMembership:
             OnlineShot(d5, noise, 5, config, rng=70 + i, block=block)
             for i in range(2)
         ]
-        batch = list(shots)
-        batch, _ = advance_streaming_round(d5, batch, block=block)
+        batch, _ = advance_streaming_round(StreamingRoster(block, shots))
         # Grow mid-stream (as the scheduler does on admission overflow).
         block.grow()
         for shot in shots:
@@ -443,7 +452,7 @@ class TestDynamicMembership:
         late = OnlineShot(d5, noise, 5, config, rng=72, block=block)
         batch.append(late)
         while batch:
-            batch, _ = advance_streaming_round(d5, batch, block=block)
+            batch, _ = advance_streaming_round(StreamingRoster(block, batch))
         for shot, seed in zip(shots + [late], (70, 71, 72)):
             reference = run_online_trial(d5, 0.02, 5, config, rng=seed)
             assert shot.outcome.matches == reference.matches
