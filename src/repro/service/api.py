@@ -3,11 +3,12 @@
 :class:`DecodeService` runs the scheduler as a background asyncio task:
 ``await service.submit(spec)`` queues a session and resolves with its
 :class:`~repro.service.session.SessionResult` when the scheduler
-retires it.  Between micro-batch steps the pump yields to the event
-loop, so submissions arriving while a batch is in flight (from other
-coroutines, or from TCP connections in :mod:`repro.service.server`)
-are admitted at the next between-rounds boundary — cross-session
-micro-batching over live traffic.
+retires it; :meth:`DecodeService.submit_wave` queues a whole wave (the
+TCP front end in :mod:`repro.service.server` hands it every decode of
+one request line), which then shares its first micro-batch round.  The
+pump yields to the event loop once between steps, so waves arriving
+while a batch is in flight are admitted at the next between-rounds
+boundary — cross-session micro-batching over live traffic.
 
 The scheduler step itself is synchronous CPU work on the loop thread:
 this service scales by *batching* concurrent sessions, not by threading
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.service.scheduler import MicroBatchScheduler, SchedulerConfig
+from repro.service.scheduler import Backpressure, MicroBatchScheduler, SchedulerConfig
 from repro.service.session import SessionResult, SessionSpec
 
 __all__ = ["DecodeService"]
@@ -68,15 +69,9 @@ class DecodeService:
         """
         if self._pump_task is None:
             return
+        # A closed pump steps until nothing is pending, then returns.
         self._closed = True
-        if drain:
-            # A dead pump (step exception) can never reduce pending —
-            # don't spin on it.
-            while self.scheduler.pending and not self._pump_task.done():
-                self._wake.set()
-                await asyncio.sleep(0)
-        else:
-            self._abort = True
+        self._abort = not drain
         self._wake.set()
         await self._pump_task
         self._pump_task = None
@@ -97,6 +92,12 @@ class DecodeService:
         Raises :class:`~repro.service.scheduler.Backpressure` when the
         admission queue is full and ``ValueError`` on a bad spec.
         """
+        return await self.submit_wave([spec])[0]
+
+    def submit_wave(self, specs) -> list[asyncio.Future]:
+        """Queue a wave of sessions; one future per spec, in order,
+        holding its :class:`SessionResult` or the exception :meth:`submit`
+        would raise for that spec alone."""
         if self._pump_task is None:
             raise RuntimeError("service not started (use 'async with' or start())")
         if self._failure is not None:
@@ -105,11 +106,19 @@ class DecodeService:
             ) from self._failure
         if self._closed:
             raise RuntimeError("decode service closed")
-        session = self.scheduler.submit(spec)  # may raise Backpressure
-        future = asyncio.get_running_loop().create_future()
-        self._waiters[session.id] = future
+        loop = asyncio.get_running_loop()
+        futures = []
+        for spec in specs:
+            future = loop.create_future()
+            try:
+                session = self.scheduler.submit(spec)
+            except (Backpressure, TypeError, ValueError) as exc:
+                future.set_exception(exc)
+            else:
+                self._waiters[session.id] = future
+            futures.append(future)
         self._wake.set()
-        return await future
+        return futures
 
     def metrics(self) -> dict:
         """Live metrics snapshot (see :class:`ServiceMetrics`)."""
@@ -137,25 +146,10 @@ class DecodeService:
                 self._wake.clear()
                 await self._wake.wait()
                 continue
-            # Admission coalescing: before each step, yield event-loop
-            # slices (bounded) until submissions quiesce, so a
-            # pipelined burst — e.g. a TCP reader spawning one decode
-            # task per buffered line — lands in *one* admission wave
-            # instead of trickling one session per micro-batch round.
-            # A submission takes a few slices to travel reader ->
-            # decode task -> submit, hence the no-progress grace.
-            last_submitted = self.scheduler.metrics.submitted
-            quiet = 0
-            for _ in range(256):
-                await asyncio.sleep(0)
-                submitted = self.scheduler.metrics.submitted
-                if submitted == last_submitted:
-                    quiet += 1
-                    if quiet >= 4:
-                        break
-                else:
-                    quiet = 0
-                    last_submitted = submitted
+            # One slice per step: readers and response writers run
+            # between rounds, and waves that arrived meanwhile are
+            # admitted at this step's round boundary.
+            await asyncio.sleep(0)
             try:
                 finished = self.scheduler.step()
             except Exception as exc:

@@ -1,9 +1,10 @@
 """Blocking JSON-lines TCP client for the decode service.
 
 The counterpart of :mod:`repro.service.server` for scripts, benchmarks
-and CI: a plain-socket client that can pipeline many decode requests on
-one connection (the server responds in completion order; responses are
-matched back by request id)::
+and CI: a plain-socket client that sends a whole wave of decode
+requests as JSON-array lines on one connection (the server responds one
+line per session, in completion order; responses are matched back by
+request id)::
 
     from repro.service.client import ServiceClient
     from repro.service.session import SessionSpec
@@ -45,7 +46,7 @@ import random
 import socket
 import time
 
-from repro.service.session import SessionSpec
+from repro.service.session import MAX_LINE_BYTES, SessionSpec
 
 __all__ = ["ServiceClient", "ServiceError"]
 
@@ -137,22 +138,25 @@ class ServiceClient:
         delay = self.backoff_s * (2 ** attempt) * (0.5 + self._rng.random())
         time.sleep(delay)
 
-    def _send(self, payload: dict, request_id: int | None = None) -> int:
-        """Write one frame; ``request_id`` pins the id on resubmission
-        (idempotent retry keyed by ticket), else a fresh id is issued."""
-        if request_id is None:
-            request_id = self._next_id
-            self._next_id += 1
-        payload = {"id": request_id, **payload}
-        self._file.write(json.dumps(payload, separators=(",", ":")).encode() + b"\n")
+    def _send_wave(self, requests: list[dict]) -> list[int]:
+        """Write ``requests`` as JSON-array lines, each within
+        :data:`MAX_LINE_BYTES`; returns the ids of requests too long to
+        fit a line even alone (they are not sent)."""
+        too_long, items, size = [], [], 1  # size: "[" + items and separators
+        for request in requests:
+            item = json.dumps(request, separators=(",", ":")).encode()
+            if len(item) + 2 > MAX_LINE_BYTES:
+                too_long.append(request["id"])
+                continue
+            if size + len(item) + 1 > MAX_LINE_BYTES:
+                self._file.write(b"[" + b",".join(items) + b"]\n")
+                items, size = [], 1
+            items.append(item)
+            size += len(item) + 1
+        if items:
+            self._file.write(b"[" + b",".join(items) + b"]\n")
         self._file.flush()
-        return request_id
-
-    def _read(self) -> dict:
-        line = self._file.readline()
-        if not line:
-            raise ConnectionError("server closed the connection")
-        return json.loads(line)
+        return too_long
 
     def _read_frame(self, expected_ids) -> dict:
         """The next response belonging to ``expected_ids``.
@@ -183,34 +187,80 @@ class ServiceClient:
                     f"{junk} consecutive frames with no expected response",
                 )
 
-    def _request(self, payload: dict, reconnect: bool = True) -> dict:
-        """Send one request and wait for *its* response (no pipelining).
+    def _call(self, requests: list[dict], reconnect: bool = True) -> list:
+        """Send ``requests`` as one wave; returns a response or a
+        :class:`ServiceError` per request, in request order.
 
-        On a transport fault the connection is resynced (reconnect) and
-        — for the idempotent control ops this serves — the request is
-        resubmitted under the retry budget.
+        The wave goes out up front as JSON-array lines (split to fit
+        :data:`MAX_LINE_BYTES`) and responses arrive in completion
+        order.  Retryable failures are resubmitted (same request id,
+        ``retry`` field set) under the per-request retry budget, as one
+        wave once the current one has answered; a transport fault
+        reconnects first — the old stream is undefined after a timeout
+        — then resubmits every unanswered request, or re-raises with
+        ``reconnect=False``.
         """
-        attempt = 0
-        while True:
+        ids = list(range(self._next_id, self._next_id + len(requests)))
+        self._next_id += len(requests)
+        outcomes: list = [None] * len(requests)
+        attempts = [0] * len(requests)
+        todo = range(len(requests))
+        while todo:
+            retry: list[int] = []
+
+            def settle(index: int, error: ServiceError) -> None:
+                if error.retryable and attempts[index] < self.max_retries:
+                    retry.append(index)
+                else:
+                    outcomes[index] = error
+
+            wave = []
+            for i in todo:
+                request = {"id": ids[i], **requests[i]}
+                if attempts[i]:
+                    request["retry"] = attempts[i]
+                wave.append(request)
+            pending = {ids[i]: i for i in todo}  # request id -> index
             try:
-                request_id = self._send(payload)
-                response = self._read_frame({request_id})
+                for request_id in self._send_wave(wave):
+                    outcomes[pending.pop(request_id)] = ServiceError(
+                        "bad-json",
+                        f"request exceeds the {MAX_LINE_BYTES}-byte line limit",
+                    )
+                while pending:
+                    response = self._read_frame(pending)
+                    index = pending.pop(response["id"])
+                    if response.get("ok"):
+                        outcomes[index] = response
+                    else:
+                        settle(index, ServiceError(
+                            response.get("error", "unknown"),
+                            response.get("detail", ""),
+                        ))
             except (TimeoutError, ConnectionError, OSError) as exc:
-                kind = "timeout" if isinstance(exc, TimeoutError) else "connection"
                 if not reconnect:
                     raise
+                kind = "timeout" if isinstance(exc, TimeoutError) else "connection"
+                # The stream is undefined from here (a partial frame may
+                # have been consumed): resync on a fresh connection
+                # before anything else touches the socket.
                 self._reconnect()
-                if attempt >= self.max_retries:
-                    raise ServiceError(kind, str(exc)) from exc
-                self._backoff(attempt)
-                attempt += 1
-                self.retries_performed += 1
-                continue
-            if not response.get("ok"):
-                raise ServiceError(
-                    response.get("error", "unknown"), response.get("detail", "")
-                )
-            return response
+                for index in sorted(pending.values()):
+                    settle(index, ServiceError(kind, str(exc)))
+            if retry:
+                self._backoff(min(attempts[i] for i in retry))
+                for i in retry:
+                    attempts[i] += 1
+                    self.retries_performed += 1
+            todo = sorted(retry)
+        return outcomes
+
+    def _request(self, payload: dict, reconnect: bool = True) -> dict:
+        """One control request's response; raises :class:`ServiceError`."""
+        outcome = self._call([payload], reconnect)[0]
+        if isinstance(outcome, ServiceError):
+            raise outcome
+        return outcome
 
     # ------------------------------------------------------------------
     # Operations
@@ -222,21 +272,14 @@ class ServiceClient:
         are resubmitted up to ``retries`` times; terminal errors raise
         :class:`ServiceError` immediately.
         """
-        outcome = self.decode_many([spec], return_errors=True)[0]
-        if isinstance(outcome, ServiceError):
-            raise outcome
-        return outcome
+        return self.decode_many([spec])[0]
 
     def decode_many(self, specs, return_errors: bool = False) -> list:
-        """Pipeline many decodes on this connection.
+        """Decode a wave of sessions on this connection.
 
-        All requests are written up front, so the sessions share the
-        service's micro-batches; responses (which arrive in completion
-        order) are returned in request order.  Retryable failures are
-        resubmitted (same request id, ``retry`` field set) under the
-        per-request retry budget; a mid-pipeline transport fault
-        reconnects first — the old stream is undefined after a timeout
-        — then resubmits every unanswered request.
+        The whole wave goes out up front (see :meth:`_call`), so the
+        server admits it as one wave and the sessions share its
+        micro-batches; results come back in request order.
 
         With ``return_errors`` the outcome list holds a result payload
         *or* a :class:`ServiceError` per spec (chaos harnesses want
@@ -244,67 +287,20 @@ class ServiceClient:
         first failure in request order raises after all outcomes are
         in, matching the original semantics.
         """
-        payloads = [
-            s.to_payload() if isinstance(s, SessionSpec) else dict(s)
-            for s in specs
+        outcomes = [
+            outcome if isinstance(outcome, ServiceError) else outcome["result"]
+            for outcome in self._call([
+                {
+                    "op": "decode",
+                    "spec": s.to_payload() if isinstance(s, SessionSpec) else dict(s),
+                }
+                for s in specs
+            ])
         ]
-        outcomes: list = [None] * len(payloads)
-        attempts = [0] * len(payloads)
-        ids: list[int | None] = [None] * len(payloads)
-        pending: dict[int, int] = {}  # request id -> spec index
-
-        def submit(index: int) -> None:
-            request = {"op": "decode", "spec": payloads[index]}
-            if attempts[index]:
-                request["retry"] = attempts[index]
-            ids[index] = self._send(request, request_id=ids[index])
-            pending[ids[index]] = index
-
-        for index in range(len(payloads)):
-            submit(index)
-        while pending:
-            try:
-                response = self._read_frame(pending)
-            except (TimeoutError, ConnectionError, OSError) as exc:
-                kind = "timeout" if isinstance(exc, TimeoutError) else "connection"
-                # The stream is undefined from here (a partial frame may
-                # have been consumed): resync on a fresh connection
-                # before anything else touches the socket.
-                self._reconnect()
-                unanswered = sorted(pending.values())
-                pending.clear()
-                retriable = [
-                    i for i in unanswered if attempts[i] < self.max_retries
-                ]
-                for i in unanswered:
-                    if i not in retriable:
-                        outcomes[i] = ServiceError(kind, str(exc))
-                if retriable:
-                    self._backoff(min(attempts[i] for i in retriable))
-                    for i in retriable:
-                        attempts[i] += 1
-                        self.retries_performed += 1
-                        submit(i)
-                continue
-            index = pending.pop(response["id"])
-            if response.get("ok"):
-                outcomes[index] = response["result"]
-                continue
-            error = ServiceError(
-                response.get("error", "unknown"), response.get("detail", "")
-            )
-            if error.retryable and attempts[index] < self.max_retries:
-                self._backoff(attempts[index])
-                attempts[index] += 1
-                self.retries_performed += 1
-                submit(index)
-            else:
-                outcomes[index] = error
-        if return_errors:
-            return outcomes
-        for outcome in outcomes:
-            if isinstance(outcome, ServiceError):
-                raise outcome
+        if not return_errors:
+            for outcome in outcomes:
+                if isinstance(outcome, ServiceError):
+                    raise outcome
         return outcomes
 
     def metrics(self) -> dict:

@@ -60,7 +60,6 @@ from repro.obs.trace import Tracer
 from repro.service.metrics import ServiceMetrics
 from repro.service.session import (
     DecodeSession,
-    SessionResult,
     SessionSpec,
     SessionState,
     WindowShot,
@@ -506,7 +505,3 @@ class MicroBatchScheduler:
             finished.extend(self.step())
             steps += 1
         return finished
-
-    def results_for(self, sessions) -> list[SessionResult]:
-        """Convenience: results of ``sessions`` in submission order."""
-        return [s.result for s in sessions]

@@ -1,10 +1,12 @@
 """JSON-lines TCP front end for the decode service.
 
-Protocol: one JSON object per line, in both directions.  Requests carry
-an ``op`` (default ``decode``) and an optional client-chosen ``id``
-echoed back on the response, so clients may pipeline many decodes per
-connection and match responses as sessions retire (responses arrive in
-*completion* order, not request order):
+Protocol: JSON lines.  A request line holds one request object or a
+JSON array of them — a *wave*: every decode of one line is submitted to
+the service together, so its sessions share micro-batches from their
+first round.  Requests carry an ``op`` (default ``decode``) and an
+optional client-chosen ``id`` echoed back on the response.  Each
+request gets its own one-object response line, in *completion* order,
+not request order:
 
 - ``{"op": "decode", "id": 1, "spec": {...}}`` ->
   ``{"id": 1, "ok": true, "result": {...}}`` or
@@ -13,6 +15,12 @@ connection and match responses as sessions retire (responses arrive in
 - ``{"op": "ping"}`` -> ``{"ok": true, "pong": true}``
 - ``{"op": "shutdown"}`` -> ``{"ok": true}`` and the server drains and
   exits (used by the CI smoke driver for clean-shutdown checks).
+
+A line that is not JSON, and a line or array item that is not an
+object, gets ``{"id": null, "ok": false, "error": "bad-json", ...}``
+and the connection serves on.  A line longer than
+:data:`~repro.service.session.MAX_LINE_BYTES` (64 KiB) gets one such
+``bad-json`` error naming the limit, then that connection closes.
 
 Run it as ``repro-runner serve --port 7421`` or
 ``python -m repro.service.server``; drive it with
@@ -42,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import functools
 import inspect
 import json
 import sys
@@ -49,7 +58,7 @@ import sys
 from repro.obs.http import MetricsHTTPServer
 from repro.service.api import DecodeService
 from repro.service.scheduler import Backpressure, SchedulerConfig
-from repro.service.session import SessionSpec
+from repro.service.session import MAX_LINE_BYTES, SessionSpec
 from repro.service.shard import ShardFailure, ShardRouter
 
 __all__ = ["main", "serve"]
@@ -59,15 +68,32 @@ def _error(payload_id, error: str, **extra) -> dict:
     return {"id": payload_id, "ok": False, "error": error, **extra}
 
 
+# Wire error kind of a decode's exception; first match wins.
+_ERROR_KINDS = (
+    (Backpressure, "backpressure"),
+    (ShardFailure, "shard-failure"),
+    ((TypeError, ValueError), "bad-spec"),
+)
+
+
+async def _metrics(service) -> dict:
+    # DecodeService.metrics is sync; ShardRouter's is a coroutine (the
+    # numbers live in the workers).
+    snapshot = service.metrics()
+    return await snapshot if inspect.isawaitable(snapshot) else snapshot
+
+
 class _Connection:
-    """One client connection: a read loop plus write-serialised responses."""
+    """One client connection: a read loop that submits each request
+    line's decodes as one wave, and done callbacks that write each
+    decode's response as its future completes."""
 
     def __init__(
         self,
         service: DecodeService,
         reader,
         writer,
-        shutdown: asyncio.Event,
+        shutdown: asyncio.Future,
         faults=None,
     ):
         self.service = service
@@ -75,84 +101,65 @@ class _Connection:
         self.writer = writer
         self.shutdown = shutdown
         self.faults = faults
-        self.write_lock = asyncio.Lock()
-        self.decodes: set[asyncio.Task] = set()
+        self.outstanding: set[asyncio.Future] = set()
 
-    async def send(self, payload: dict) -> None:
-        data = json.dumps(payload, separators=(",", ":")).encode() + b"\n"
-        async with self.write_lock:
-            try:
-                self.writer.write(data)
-                await self.writer.drain()
-            except (ConnectionError, OSError):
-                # The client vanished mid-response (reset, broken
-                # pipe).  Its session already ran; there is no one left
-                # to report to — drop the payload and let the read loop
-                # observe EOF.
-                pass
+    def write(self, payload: dict) -> None:
+        """Queue one response line on the transport.  Never awaits, so
+        the read loop keeps reading while the client is still writing;
+        a closing transport (the client vanished) drops the line."""
+        if not self.writer.is_closing():
+            self.writer.write(
+                json.dumps(payload, separators=(",", ":")).encode() + b"\n"
+            )
 
-    async def _decode(self, payload_id, spec_payload) -> None:
+    def _trace(self, started: float, outcome: str) -> None:
         tracer = self.service.tracer
-        started = tracer.clock() if tracer is not None else 0.0
-        outcome = "ok"
-        try:
-            spec = SessionSpec.from_payload(spec_payload)
-            result = await self.service.submit(spec)
-        except Backpressure as exc:
-            outcome = "backpressure"
-            await self.send(_error(payload_id, "backpressure", detail=str(exc)))
-        except ShardFailure as exc:
-            outcome = "shard-failure"
-            await self.send(_error(payload_id, "shard-failure", detail=str(exc)))
-        except (TypeError, ValueError) as exc:
-            outcome = "bad-spec"
-            await self.send(_error(payload_id, "bad-spec", detail=str(exc)))
-        else:
+        if tracer is not None:
+            # Request line receipt to response written, queueing included.
+            tracer.add(
+                "server.request", started, tracer.clock() - started, tag=outcome
+            )
+
+    def _respond(self, payload_id, started: float, future) -> None:
+        """Done callback of one decode future: write its response."""
+        self.outstanding.discard(future)
+        exc = future.exception()
+        if exc is None:
+            outcome = "ok"
             if self.faults is not None and self.faults.garble_next():
                 # Chaos: a corrupted frame ahead of the real response —
                 # the client must skip it and still match the result.
-                async with self.write_lock:
-                    try:
-                        self.writer.write(b'{"garbled frame\n')
-                        await self.writer.drain()
-                    except (ConnectionError, OSError):
-                        pass
-            await self.send(
-                {"id": payload_id, "ok": True, "result": result.to_payload()}
-            )
-        finally:
-            if tracer is not None:
-                # Request receipt to response flushed, queueing included.
-                tracer.add(
-                    "server.request", started, tracer.clock() - started,
-                    tag=outcome,
-                )
+                self.writer.write(b'{"garbled frame\n')
+            response = {"id": payload_id, "ok": True, "result": future.result().to_payload()}
+        else:
+            outcome = next((k for t, k in _ERROR_KINDS if isinstance(exc, t)), None)
+            if outcome is None:
+                raise exc
+            response = _error(payload_id, outcome, detail=str(exc))
+        self.write(response)
+        self._trace(started, outcome)
 
     async def _readline_or_shutdown(self) -> bytes:
         """Next request line, or ``b""`` once shutdown is signalled.
 
-        Racing the read against the shutdown event lets every handler
+        Racing the read against the shutdown future lets every handler
         unwind *before* the event loop closes — a connection parked in
         ``readline`` would otherwise be cancelled at teardown and spray
         CancelledError tracebacks through the stream callbacks.
         """
         read = asyncio.ensure_future(self.reader.readline())
-        stop = asyncio.ensure_future(self.shutdown.wait())
-        done, pending = await asyncio.wait(
-            (read, stop), return_when=asyncio.FIRST_COMPLETED
-        )
-        for task in pending:
-            task.cancel()
-        if read in done:
-            try:
-                return read.result()
-            except (ConnectionError, OSError):
-                # An abrupt disconnect (e.g. RST) surfaces here as
-                # ConnectionResetError; treat it as EOF so the handler
-                # unwinds quietly instead of leaving an unretrieved
-                # task exception behind.
-                return b""
-        return b""
+        await asyncio.wait((read, self.shutdown), return_when=asyncio.FIRST_COMPLETED)
+        if not read.done():
+            read.cancel()
+            return b""
+        try:
+            return read.result()
+        except (ConnectionError, OSError):
+            # An abrupt disconnect (e.g. RST) surfaces here as
+            # ConnectionResetError; treat it as EOF so the handler
+            # unwinds quietly instead of leaving an unretrieved task
+            # exception behind.
+            return b""
 
     async def run(self) -> None:
         try:
@@ -160,13 +167,14 @@ class _Connection:
         except (ConnectionError, OSError):
             pass  # abrupt disconnect anywhere in the loop: close quietly
         finally:
-            if self.decodes:
-                await asyncio.gather(*self.decodes, return_exceptions=True)
+            # Every admitted decode's response is written before close.
+            if self.outstanding:
+                await asyncio.wait(self.outstanding)
             self.writer.close()
             # On the shutdown path the loop is about to tear the
             # transport down anyway; awaiting the close handshake there
             # only races teardown (and loses, noisily).
-            if not self.shutdown.is_set():
+            if not self.shutdown.done():
                 try:
                     await self.writer.wait_closed()
                 except (ConnectionError, OSError):
@@ -174,7 +182,14 @@ class _Connection:
 
     async def _serve_requests(self) -> None:
         while True:
-            line = await self._readline_or_shutdown()
+            try:
+                line = await self._readline_or_shutdown()
+            except ValueError:  # over MAX_LINE_BYTES: the stream is desynced
+                self.write(_error(
+                    None, "bad-json",
+                    detail=f"request line exceeds {MAX_LINE_BYTES} bytes",
+                ))
+                return
             if not line:
                 break
             line = line.strip()
@@ -182,8 +197,20 @@ class _Connection:
                 continue
             try:
                 request = json.loads(line)
-            except json.JSONDecodeError as exc:
-                await self.send(_error(None, "bad-json", detail=str(exc)))
+            except ValueError as exc:  # malformed JSON or UTF-8
+                self.write(_error(None, "bad-json", detail=str(exc)))
+                continue
+            await self._handle(request if isinstance(request, list) else [request])
+
+    async def _handle(self, requests: list) -> None:
+        """Answer one request line: control ops in order, and every
+        decode of the line as one wave on the service."""
+        tracer = self.service.tracer
+        started = tracer.clock() if tracer is not None else 0.0
+        ids, specs = [], []
+        for request in requests:
+            if not isinstance(request, dict):
+                self.write(_error(None, "bad-json", detail="request is not a JSON object"))
                 continue
             payload_id = request.get("id")
             op = request.get("op", "decode")
@@ -192,29 +219,30 @@ class _Connection:
                     # Client-visible resubmission (idempotent; see
                     # ServiceClient) — count it server-side.
                     self.service.record_client_retry()
-                # Spawn so the read loop keeps accepting pipelined
-                # requests while this session decodes.
-                task = asyncio.create_task(
-                    self._decode(payload_id, request.get("spec") or {})
-                )
-                self.decodes.add(task)
-                task.add_done_callback(self.decodes.discard)
+                try:
+                    specs.append(SessionSpec.from_payload(request.get("spec") or {}))
+                except (TypeError, ValueError) as exc:
+                    self.write(_error(payload_id, "bad-spec", detail=str(exc)))
+                    self._trace(started, "bad-spec")
+                    continue
+                ids.append(payload_id)
             elif op == "metrics":
-                # DecodeService.metrics is sync; ShardRouter's is a
-                # coroutine (the numbers live in the workers).
-                snapshot = self.service.metrics()
-                if inspect.isawaitable(snapshot):
-                    snapshot = await snapshot
-                await self.send(
-                    {"id": payload_id, "ok": True, "metrics": snapshot}
-                )
+                snapshot = await _metrics(self.service)
+                self.write({"id": payload_id, "ok": True, "metrics": snapshot})
             elif op == "ping":
-                await self.send({"id": payload_id, "ok": True, "pong": True})
+                self.write({"id": payload_id, "ok": True, "pong": True})
             elif op == "shutdown":
-                await self.send({"id": payload_id, "ok": True})
-                self.shutdown.set()
+                self.write({"id": payload_id, "ok": True})
+                if not self.shutdown.done():
+                    self.shutdown.set_result(None)
             else:
-                await self.send(_error(payload_id, f"unknown-op:{op}"))
+                self.write(_error(payload_id, f"unknown-op:{op}"))
+        if specs:
+            for payload_id, future in zip(ids, self.service.submit_wave(specs)):
+                self.outstanding.add(future)
+                future.add_done_callback(
+                    functools.partial(self._respond, payload_id, started)
+                )
 
 
 async def serve(
@@ -261,7 +289,8 @@ async def serve(
     the service tracer's span ring as JSON lines at shutdown (requires
     ``config.trace``; silently skipped when tracing is off).
     """
-    shutdown = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    shutdown = loop.create_future()
     connections: set[asyncio.Task] = set()
     backend = (
         ShardRouter(
@@ -278,7 +307,6 @@ async def serve(
         else DecodeService(config=config)
     )
     server_faults = faults.for_server() if faults is not None else None
-    loop = asyncio.get_running_loop()
     async with backend as service:
         async def handler(reader, writer):
             task = asyncio.current_task()
@@ -288,15 +316,9 @@ async def serve(
                 service, reader, writer, shutdown, faults=server_faults
             ).run()
 
-        async def grab_snapshot():
-            snapshot = service.metrics()
-            if inspect.isawaitable(snapshot):
-                snapshot = await snapshot
-            return snapshot
-
         def snapshot_fn():
             # Runs on the HTTP thread: marshal onto the loop.
-            future = asyncio.run_coroutine_threadsafe(grab_snapshot(), loop)
+            future = asyncio.run_coroutine_threadsafe(_metrics(service), loop)
             return future.result(timeout=30)
 
         metrics_server = None
@@ -307,12 +329,14 @@ async def serve(
             if metrics_ready is not None:
                 metrics_ready(metrics_server.address)
         try:
-            server = await asyncio.start_server(handler, host=host, port=port)
+            server = await asyncio.start_server(
+                handler, host=host, port=port, limit=MAX_LINE_BYTES
+            )
             bound = server.sockets[0].getsockname()[:2]
             if ready is not None:
                 ready(bound)
             async with server:
-                await shutdown.wait()
+                await shutdown
             # Listener closed.  Explicitly await the connection handlers
             # (each flushes its in-flight pipelined responses in its
             # ``finally``) while the service is still pumping — on Python

@@ -46,6 +46,7 @@ from repro.surface_code.lattice import PlanarLattice
 from repro.surface_code.noise import NoiseModel
 
 __all__ = [
+    "MAX_LINE_BYTES",
     "DecodeSession",
     "SessionResult",
     "SessionSpec",
@@ -53,6 +54,16 @@ __all__ = [
     "WindowOutcome",
     "WindowShot",
 ]
+
+MAX_LINE_BYTES = 1 << 16
+"""Longest request line (newline excluded) the TCP front end reads.
+
+The server passes it to ``asyncio.start_server`` as the stream limit
+and answers a longer line with one ``bad-json`` error before closing
+that connection; :meth:`ServiceClient.decode_many
+<repro.service.client.ServiceClient.decode_many>` splits a wave into
+array lines that fit.  One request object encodes to ~250 bytes, so a
+line holds ~260 decodes."""
 
 
 @lru_cache(maxsize=256)

@@ -11,12 +11,13 @@ async/TCP front end:
   metrics) and running the synchronous admit/step/retire loop of
   :func:`_shard_worker`;
 - sessions route to workers by **consistent hash** on the router-issued
-  session id (``routing="hash"``, the default — uniform spread) or on
-  the lattice shape (``routing="shape"`` — same-``d`` sessions
-  co-locate so each worker sees bigger micro-batches);
+  session id (uniform spread);
 - specs travel to workers and results travel back over per-worker
   duplex pipes, pumped by one writer and one reader thread per shard so
-  the event loop never blocks on a pipe;
+  the event loop never blocks on a pipe.  The wave is the message unit
+  both ways: :meth:`ShardRouter.submit_wave` sends each worker its share
+  of a wave as one ``submit`` message, and the worker answers each
+  scheduler tick's retirements and rejections as one ``tick`` message;
 - :meth:`ShardRouter.metrics` aggregates per-worker
   :class:`~repro.service.metrics.ServiceMetrics` snapshots under
   router-exact top-level counters (which survive worker death);
@@ -146,9 +147,6 @@ class HashRing:
 # ----------------------------------------------------------------------
 # The worker process
 # ----------------------------------------------------------------------
-_COALESCE_S = 0.005  # admission-coalescing grace after an idle wakeup
-
-
 def _shard_worker(
     conn,
     config: SchedulerConfig | None,
@@ -161,19 +159,18 @@ def _shard_worker(
 
     Protocol (tuples over the pipe, pickled):
 
-    - in: ``("submit", ticket, spec_payload)`` / ``("metrics", token)``
-      / ``("stop",)``
-    - out: ``("result", ticket, SessionResult)`` /
-      ``("reject", ticket, kind, detail)`` /
-      ``("metrics", token, snapshot)`` / ``("hb", tick)`` /
-      ``("crashed", repr)`` / ``("stopped",)``
+    - in: ``("submit", [(ticket, spec_payload), ...])`` (one wave) /
+      ``("metrics", token)`` / ``("stop",)``
+    - out: ``("tick", [(ticket, SessionResult), ...], [(ticket,
+      exception), ...])`` (one tick's retirements and rejections) / ``("metrics", token, snapshot)`` / ``("hb", tick)``
+      / ``("crashed", repr)`` / ``("stopped",)``
 
     The loop blocks on the pipe while idle, drains every buffered
-    message before each step (so a pipelined burst lands in one
-    admission wave — the process analogue of the async pump's
-    coalescing), and steps the scheduler while any session is pending.
-    On ``stop`` it finishes the backlog, reports ``stopped`` and exits;
-    a vanished router (EOF on the pipe) exits quietly.
+    message before each step (a wave arrives whole in one message, so
+    it shares its first micro-batch round), and steps the scheduler
+    while any session is pending.  On ``stop`` it finishes the backlog,
+    reports ``stopped`` and exits; a vanished router (EOF on the pipe)
+    exits quietly.
 
     Liveness: with ``heartbeat_s`` set the idle wait is bounded by it
     and an ``("hb", tick)`` frame goes out whenever the interval
@@ -196,31 +193,27 @@ def _shard_worker(
     )
     scheduler = MicroBatchScheduler(config, faults=worker_faults)
     tickets: dict[int, int] = {}  # scheduler session id -> router ticket
+    rejects: list[tuple[int, Exception]] = []  # sent with this tick's results
     stop = False
     tick = 0
     last_hb = time.monotonic()
 
-    def handle(message) -> None:
-        nonlocal stop
-        op = message[0]
-        if op == "submit":
-            _, ticket, payload = message
-            try:
-                session = scheduler.submit(SessionSpec.from_payload(payload))
-            except Backpressure as exc:
-                conn.send(("reject", ticket, "backpressure", str(exc)))
-            except (TypeError, ValueError) as exc:
-                conn.send(("reject", ticket, "bad-spec", str(exc)))
-            else:
-                tickets[session.id] = ticket
-        elif op == "metrics":
-            conn.send(("metrics", message[1], scheduler.metrics.snapshot()))
-        elif op == "stop":
-            stop = True
-
     def drain_pipe() -> None:
+        nonlocal stop
         while conn.poll(0.0):
-            handle(conn.recv())
+            message = conn.recv()
+            if message[0] == "submit":
+                for ticket, payload in message[1]:
+                    try:
+                        session = scheduler.submit(SessionSpec.from_payload(payload))
+                    except (Backpressure, TypeError, ValueError) as exc:
+                        rejects.append((ticket, exc))
+                    else:
+                        tickets[session.id] = ticket
+            elif message[0] == "metrics":
+                conn.send(("metrics", message[1], scheduler.metrics.snapshot()))
+            elif message[0] == "stop":
+                stop = True
 
     def heartbeat() -> None:
         nonlocal last_hb
@@ -251,21 +244,15 @@ def _shard_worker(
             # Idle wait is bounded by the heartbeat interval (None =
             # block forever, the heartbeats-off legacy behaviour).
             if conn.poll(heartbeat_s if idle else 0.0):
-                handle(conn.recv())
                 drain_pipe()
-                if idle and scheduler.pending and not stop:
-                    # Woken from idle by a submission: give the rest of
-                    # the burst a moment to arrive so it shares the
-                    # first micro-batch rounds.
-                    deadline = time.monotonic() + _COALESCE_S
-                    while time.monotonic() < deadline:
-                        if conn.poll(0.001):
-                            handle(conn.recv())
-                            drain_pipe()
             heartbeat()
-            if scheduler.pending:
-                for session in scheduler.step():
-                    conn.send(("result", tickets.pop(session.id), session.result))
+            results = [
+                (tickets.pop(session.id), session.result)
+                for session in (scheduler.step() if scheduler.pending else ())
+            ]
+            if results or rejects:
+                conn.send(("tick", results, rejects))
+                rejects.clear()
             tick += 1
         conn.send(("stopped",))
     except (EOFError, ConnectionError, OSError):
@@ -369,7 +356,6 @@ class ShardRouter:
         self,
         n_shards: int = 2,
         config: SchedulerConfig | None = None,
-        routing: str = "hash",
         requeue: bool = True,
         respawn: bool = True,
         respawn_backoff_s: float = 0.5,
@@ -383,8 +369,6 @@ class ShardRouter:
     ):
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        if routing not in ("hash", "shape"):
-            raise ValueError(f"routing must be 'hash' or 'shape', got {routing!r}")
         if respawn_backoff_s <= 0:
             raise ValueError(
                 f"respawn_backoff_s must be > 0, got {respawn_backoff_s}"
@@ -393,7 +377,6 @@ class ShardRouter:
             raise ValueError(f"respawn_budget must be >= 0, got {respawn_budget}")
         self.n_shards = n_shards
         self.config = config or SchedulerConfig()
-        self.routing = routing
         self.requeue = requeue
         self.respawn = respawn
         self.respawn_backoff_s = respawn_backoff_s
@@ -529,14 +512,10 @@ class ShardRouter:
         # Sessions parked for a respawn that will now never come.
         parked, self._parked = self._parked, []
         for entry in parked:
-            self.counters["shed"] += 1
-            if self.tracer is not None:
-                self.tracer.event("shed")
-            if not entry.future.done():
-                entry.future.set_exception(ShardFailure(
-                    f"router closed before session {entry.ticket} could be "
-                    f"replayed on a respawned worker"
-                ))
+            self._shed(
+                entry, f"router closed before session {entry.ticket} could "
+                "be replayed on a respawned worker",
+            )
         for shard in self._shards.values():
             if not shard.alive:
                 continue
@@ -598,17 +577,12 @@ class ShardRouter:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def _route_key(self, ticket: int, spec: SessionSpec) -> str:
-        if self.routing == "shape":
-            return f"shape:{spec.shape_key}"
-        return f"session:{ticket}"
-
-    def placement(self, ticket: int, spec: SessionSpec | None = None) -> int:
+    def placement(self, ticket: int) -> int:
         """The shard index the ring currently assigns (pure, no I/O)."""
-        return self._ring.route(self._route_key(ticket, spec))
+        return self._ring.route(f"session:{ticket}")
 
-    def _pick(self, ticket: int, spec: SessionSpec) -> _Shard | None:
-        key = self._route_key(ticket, spec)
+    def _pick(self, ticket: int) -> _Shard | None:
+        key = f"session:{ticket}"
         while len(self._ring):
             index = self._ring.route(key)
             shard = self._shards.get(index)
@@ -628,55 +602,78 @@ class ShardRouter:
         spec, and :class:`ShardFailure` when the session's worker died
         and the session could not be requeued.
         """
+        return await self.submit_wave([spec])[0]
+
+    def submit_wave(self, specs) -> list[asyncio.Future]:
+        """Route a wave of sessions — each worker's share as one
+        ``submit`` message; one future per spec, in order, holding its
+        result or the exception :meth:`submit` would raise for it."""
         if self._loop is None:
             raise RuntimeError("router not started (use 'async with' or start())")
         if self._closed:
             raise RuntimeError("shard router closed")
-        spec.validate()  # shed bad specs here, not in a shared worker
-        ticket = self._next_ticket
-        self._next_ticket += 1
-        self.counters["submitted"] += 1
-        shard = self._pick(ticket, spec)
-        if shard is None:
-            self.counters["rejected"] += 1
-            raise Backpressure("no live worker shards")
-        future = self._loop.create_future()
-        shard.inflight[ticket] = _Inflight(
-            ticket, spec, future, submitted_at=time.monotonic()
-        )
-        shard.outbox.put(("submit", ticket, spec.to_payload()))
-        return await future
+        futures = []
+        routed: list[tuple[_Shard, _Inflight]] = []
+        now = time.monotonic()
+        for spec in specs:
+            future = self._loop.create_future()
+            futures.append(future)
+            try:
+                spec.validate()  # shed bad specs here, not in a shared worker
+            except (TypeError, ValueError) as exc:
+                future.set_exception(exc)
+                continue
+            ticket = self._next_ticket
+            self._next_ticket += 1
+            self.counters["submitted"] += 1
+            shard = self._pick(ticket)
+            if shard is None:
+                self.counters["rejected"] += 1
+                future.set_exception(Backpressure("no live worker shards"))
+                continue
+            routed.append((shard, _Inflight(ticket, spec, future, submitted_at=now)))
+        self._dispatch(routed)
+        return futures
+
+    def _dispatch(self, routed) -> None:
+        """Hand each ``(shard, entry)`` to its worker: one ``submit``
+        message per shard, entries in the given order."""
+        waves: dict[_Shard, list] = {}
+        for shard, entry in routed:
+            shard.inflight[entry.ticket] = entry
+            waves.setdefault(shard, []).append(
+                (entry.ticket, entry.spec.to_payload())
+            )
+        for shard, wave in waves.items():
+            shard.outbox.put(("submit", wave))
 
     # ------------------------------------------------------------------
     # Worker messages (loop thread)
     # ------------------------------------------------------------------
     def _on_message(self, shard: _Shard, message) -> None:
         op = message[0]
-        if op == "result":
-            _, ticket, result = message
-            entry = shard.inflight.pop(ticket, None)
-            if entry is None:
-                return  # session was requeued elsewhere before the kill
-            self.counters["completed"] += 1
-            if result.failed:
-                self.counters["failed"] += 1
-            if result.overflow:
-                self.counters["overflowed"] += 1
-            self._latency.record(time.monotonic() - entry.submitted_at)
-            if not entry.future.done():
-                # Workers number sessions locally; the router's ticket
-                # is the service-wide session id clients saw.
-                entry.future.set_result(replace(result, session_id=ticket))
-        elif op == "reject":
-            _, ticket, kind, detail = message
-            entry = shard.inflight.pop(ticket, None)
-            self.counters["rejected"] += 1
-            if entry is not None and not entry.future.done():
-                exc = (
-                    Backpressure(detail) if kind == "backpressure"
-                    else ValueError(detail)
-                )
-                entry.future.set_exception(exc)
+        if op == "tick":
+            _, results, rejects = message
+            now = time.monotonic()
+            for ticket, result in results:
+                entry = shard.inflight.pop(ticket, None)
+                if entry is None:
+                    continue  # session was requeued elsewhere before the kill
+                self.counters["completed"] += 1
+                if result.failed:
+                    self.counters["failed"] += 1
+                if result.overflow:
+                    self.counters["overflowed"] += 1
+                self._latency.record(now - entry.submitted_at)
+                if not entry.future.done():
+                    # Workers number sessions locally; the router's
+                    # ticket is the service-wide session id clients saw.
+                    entry.future.set_result(replace(result, session_id=ticket))
+            for ticket, exc in rejects:
+                entry = shard.inflight.pop(ticket, None)
+                self.counters["rejected"] += 1
+                if entry is not None and not entry.future.done():
+                    entry.future.set_exception(exc)
         elif op == "metrics":
             _, token, snapshot = message
             waiter = self._metric_waiters.pop(token, None)
@@ -715,38 +712,29 @@ class ShardRouter:
             respawning = self._schedule_respawn(shard.index)
         # Shed or requeue the shard's in-flight sessions, oldest first.
         entries = [shard.inflight.pop(t) for t in sorted(shard.inflight)]
+        requeued = []
         for entry in entries:
-            target = None
             requeueable = self.requeue and entry.requeues == 0 and not self._closed
-            if requeueable:
-                target = self._pick(entry.ticket, entry.spec)
+            target = self._pick(entry.ticket) if requeueable else None
+            if target is None and not (requeueable and respawning):
+                self._shed(
+                    entry, f"worker shard {shard.index} died mid-stream; "
+                    f"session {entry.ticket} shed"
+                    + (f" (last crash: {self.last_crash})" if self.last_crash else ""),
+                )
+                continue
+            entry.requeues += 1
+            self.counters["requeued"] += 1
+            if tracer is not None:
+                tracer.event("requeue")
             if target is not None:
-                entry.requeues += 1
-                self.counters["requeued"] += 1
-                if tracer is not None:
-                    tracer.event("requeue")
-                target.inflight[entry.ticket] = entry
-                target.outbox.put(("submit", entry.ticket, entry.spec.to_payload()))
-            elif requeueable and respawning:
+                requeued.append((target, entry))
+            else:
                 # No survivor to take it, but a respawn is scheduled:
                 # park the session and replay it (bit-identically — the
                 # spec carries the whole decode) on the respawned worker.
-                entry.requeues += 1
-                self.counters["requeued"] += 1
-                if tracer is not None:
-                    tracer.event("requeue")
                 self._parked.append(entry)
-            else:
-                self.counters["shed"] += 1
-                if tracer is not None:
-                    tracer.event("shed")
-                if not entry.future.done():
-                    entry.future.set_exception(ShardFailure(
-                        f"worker shard {shard.index} died mid-stream; "
-                        f"session {entry.ticket} shed"
-                        + (f" (last crash: {self.last_crash})"
-                           if self.last_crash else "")
-                    ))
+        self._dispatch(requeued)
         # Outstanding metrics requests against this shard resolve empty.
         for token in [
             t for t, (idx, _) in self._metric_waiters.items()
@@ -790,20 +778,25 @@ class ShardRouter:
             self.tracer.event("respawn")
         # Replay sessions that had no survivor to requeue onto.
         parked, self._parked = self._parked, []
+        replayed = []
         for entry in parked:
-            target = self._pick(entry.ticket, entry.spec)
+            target = self._pick(entry.ticket)
             if target is None:  # respawned worker died already
-                self.counters["shed"] += 1
-                if self.tracer is not None:
-                    self.tracer.event("shed")
-                if not entry.future.done():
-                    entry.future.set_exception(ShardFailure(
-                        f"session {entry.ticket} shed: no worker survived "
-                        f"its respawn replay"
-                    ))
+                self._shed(
+                    entry, f"session {entry.ticket} shed: no worker "
+                    "survived its respawn replay",
+                )
             else:
-                target.inflight[entry.ticket] = entry
-                target.outbox.put(("submit", entry.ticket, entry.spec.to_payload()))
+                replayed.append((target, entry))
+        self._dispatch(replayed)
+
+    def _shed(self, entry: _Inflight, reason: str) -> None:
+        """Give up on ``entry``: its waiter gets :class:`ShardFailure`."""
+        self.counters["shed"] += 1
+        if self.tracer is not None:
+            self.tracer.event("shed")
+        if not entry.future.done():
+            entry.future.set_exception(ShardFailure(reason))
 
     def _deadline_for(self, spec: SessionSpec) -> float:
         """Per-session deadline, scaled with spec size: rounds dominate

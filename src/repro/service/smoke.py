@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
 import gc
 import json
 import logging
@@ -107,36 +108,44 @@ def _assert_valid_exposition(text: str, source: str) -> None:
     )
 
 
-class _LoopErrorTrap:
-    """Capture asyncio-logger ERROR records for the duration.
+@contextlib.contextmanager
+def _serving(config: SchedulerConfig, shards: int, **serve_kwargs):
+    """Run ``serve`` (with a ``/metrics`` endpoint) in a background
+    thread; yields its ``(host, port)`` and the endpoint's, then asserts
+    a clean exit once the body has sent ``shutdown``.
 
-    A healthy run is *silent*: no unretrieved task exceptions, no
+    A healthy run is also *silent*: no unretrieved task exceptions, no
     event-loop error reports.  asyncio funnels both through the
     "asyncio" logger at ERROR, so capture it and fail on any record.
     """
+    bound: queue.Queue = queue.Queue()
+    metrics_bound: queue.Queue = queue.Queue()
+    records: list[logging.LogRecord] = []
 
-    def __init__(self):
-        self.records: list[logging.LogRecord] = []
-        trap = self
+    class _Capture(logging.Handler):
+        def emit(self, record: logging.LogRecord) -> None:
+            records.append(record)
 
-        class _Capture(logging.Handler):
-            def emit(self, record: logging.LogRecord) -> None:
-                trap.records.append(record)
-
-        self._handler = _Capture(level=logging.ERROR)
-
-    def __enter__(self) -> "_LoopErrorTrap":
-        logging.getLogger("asyncio").addHandler(self._handler)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        logging.getLogger("asyncio").removeHandler(self._handler)
-
-    def assert_silent(self) -> None:
-        assert not self.records, (
-            "event loop reported errors: "
-            + "; ".join(r.getMessage() for r in self.records)
-        )
+    thread = threading.Thread(
+        target=lambda: asyncio.run(serve(
+            "127.0.0.1", 0, config, ready=bound.put, shards=shards,
+            metrics_port=0, metrics_ready=metrics_bound.put, **serve_kwargs,
+        )),
+        name="smoke-server", daemon=True,
+    )
+    handler = _Capture(level=logging.ERROR)
+    logging.getLogger("asyncio").addHandler(handler)
+    try:
+        thread.start()
+        yield bound.get(timeout=30), metrics_bound.get(timeout=30)
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "server did not shut down cleanly"
+        gc.collect()  # dropped tasks report unretrieved exceptions here
+    finally:
+        logging.getLogger("asyncio").removeHandler(handler)
+    assert not records, (
+        "event loop reported errors: " + "; ".join(r.getMessage() for r in records)
+    )
 
 
 def _assert_bit_identical(spec: SessionSpec, result: dict) -> bool:
@@ -181,27 +190,14 @@ def run_smoke(
     Raises ``AssertionError`` on any bit-identity, exposition or
     lifecycle failure.
     """
-    bound: queue.Queue = queue.Queue()
-    metrics_bound: queue.Queue = queue.Queue()
     config = SchedulerConfig(
         max_active=capacity, max_queue=4 * n_sessions,
         trace=True, trace_sample=16,
     )
-
-    def server_thread():
-        asyncio.run(serve(
-            "127.0.0.1", 0, config, ready=bound.put, shards=shards,
-            metrics_port=0, metrics_ready=metrics_bound.put,
-            trace_path=trace_out,
-        ))
-
-    thread = threading.Thread(target=server_thread, name="smoke-server", daemon=True)
-    with _LoopErrorTrap() as trap:
-        thread.start()
-        host, port = bound.get(timeout=30)
-        metrics_host, metrics_port = metrics_bound.get(timeout=30)
-
-        specs = _mixed_specs(n_sessions)
+    specs = _mixed_specs(n_sessions)
+    with _serving(config, shards, trace_path=trace_out) as (
+        (host, port), (metrics_host, metrics_port)
+    ):
         with ServiceClient(host=host, port=port) as client:
             assert client.ping(), "server did not answer ping"
             results = client.decode_many(specs)
@@ -214,10 +210,6 @@ def run_smoke(
                 assert response.status == 200
                 scraped = response.read().decode()
             client.shutdown()
-        thread.join(timeout=30)
-        assert not thread.is_alive(), "server did not shut down cleanly"
-        gc.collect()  # dropped tasks report unretrieved exceptions here
-    trap.assert_silent()
 
     # Exposition contract, both paths: the HTTP scrape and a render of
     # the metrics-op snapshot must pass the strict checker.
@@ -297,30 +289,15 @@ def run_chaos(
     })
     transcript: list[dict] = [{"type": "plan", **plan.to_payload()}]
 
-    bound: queue.Queue = queue.Queue()
-    metrics_bound: queue.Queue = queue.Queue()
     config = SchedulerConfig(max_active=capacity, max_queue=8 * n_sessions)
-
-    def server_thread():
-        asyncio.run(serve(
-            "127.0.0.1", 0, config, ready=bound.put, shards=shards,
-            metrics_port=0, metrics_ready=metrics_bound.put,
-            faults=plan,
-            # Tight supervision so the chaos resolves in CI time: the
-            # 1.5s stall dwarfs the 0.6s heartbeat timeout, and the
-            # session deadline is a generous backstop.
-            respawn_backoff=0.1,
-            heartbeat_interval=0.1,
-            heartbeat_timeout=0.6,
-            session_deadline=5.0,
-        ))
-
-    thread = threading.Thread(target=server_thread, name="chaos-server", daemon=True)
-    with _LoopErrorTrap() as trap:
-        thread.start()
-        host, port = bound.get(timeout=30)
-        metrics_host, metrics_port = metrics_bound.get(timeout=30)
-
+    with _serving(
+        config, shards, faults=plan,
+        # Tight supervision so the chaos resolves in CI time: the 1.5s
+        # stall dwarfs the 0.6s heartbeat timeout, and the session
+        # deadline is a generous backstop.
+        respawn_backoff=0.1, heartbeat_interval=0.1,
+        heartbeat_timeout=0.6, session_deadline=5.0,
+    ) as ((host, port), (metrics_host, metrics_port)):
         with ServiceClient(
             host=host, port=port, timeout=60, retries=4, backoff_s=0.05
         ) as client:
@@ -395,11 +372,8 @@ def run_chaos(
             ) as response:
                 assert response.status == 200
                 scraped = response.read().decode()
+            malformed_frames = client.malformed_frames
             client.shutdown()
-        thread.join(timeout=60)
-        assert not thread.is_alive(), "chaos server did not shut down cleanly"
-        gc.collect()
-    trap.assert_silent()
 
     # The closing invariant: nothing lost, nothing hung, everything
     # attributed — and the supervision counters are on the wire.
@@ -418,6 +392,9 @@ def run_chaos(
             "worker_deaths", "respawns", "heartbeat_timeouts", "retries",
             "live_shards", "n_shards",
         )
+    }, "client": {
+        # The garbled-frame fault fired iff the client skipped a frame.
+        "malformed_frames": malformed_frames,
     }})
     if chaos_out:
         Path(chaos_out).write_text(

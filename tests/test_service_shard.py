@@ -122,22 +122,8 @@ class TestHashRing:
         ring = HashRing()
         for shard in range(4):
             ring.add(shard)
-        spec = SessionSpec(d=5, p=0.01, seed=1)
         router._ring = ring
-        assert router.placement(7, spec) == ring.route("session:7")
-
-    def test_shape_routing_colocates_equal_shapes(self):
-        router = ShardRouter(n_shards=4, routing="shape")
-        ring = HashRing()
-        for shard in range(4):
-            ring.add(shard)
-        router._ring = ring
-        a = SessionSpec(d=5, p=0.01, seed=1)
-        b = SessionSpec(d=5, p=0.05, seed=999, thv=-1)
-        c = SessionSpec(d=7, p=0.01, seed=1)
-        assert router.placement(1, a) == router.placement(2, b)
-        assert router.placement(1, a) == ring.route("shape:5")
-        assert router.placement(3, c) == ring.route("shape:7")
+        assert router.placement(7) == ring.route("session:7")
 
 
 class TestShardedBitIdentity:

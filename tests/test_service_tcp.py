@@ -9,6 +9,7 @@ larger scale via :mod:`repro.service.smoke`.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import gc
 import json
 import logging
@@ -20,10 +21,12 @@ import time
 
 import pytest
 
+import repro.service.shard as shard_module
 from repro.core.online import run_online_trial
 from repro.service import Backpressure, DecodeService, SchedulerConfig, SessionSpec
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import serve
+from repro.service.session import MAX_LINE_BYTES
 from repro.surface_code.lattice import PlanarLattice
 
 
@@ -138,15 +141,19 @@ class TestDecodeService:
         assert asyncio.run(scenario())
 
 
-@pytest.fixture()
-def tcp_service():
-    """A live TCP server on an ephemeral port, in a daemon thread."""
+@contextlib.contextmanager
+def _live_server(config: SchedulerConfig, shards: int = 0, on_loop=None):
+    """``serve`` on an ephemeral port in a daemon thread, shut down on
+    exit; yields ``(host, port, thread)``.  ``on_loop`` runs on the
+    server's event loop before it starts serving."""
     bound: queue.Queue = queue.Queue()
-    config = SchedulerConfig(max_active=8, max_queue=64)
-    thread = threading.Thread(
-        target=lambda: asyncio.run(serve("127.0.0.1", 0, config, ready=bound.put)),
-        daemon=True,
-    )
+
+    async def main():
+        if on_loop is not None:
+            on_loop(asyncio.get_running_loop())
+        await serve("127.0.0.1", 0, config, ready=bound.put, shards=shards)
+
+    thread = threading.Thread(target=lambda: asyncio.run(main()), daemon=True)
     thread.start()
     host, port = bound.get(timeout=30)
     yield host, port, thread
@@ -157,6 +164,75 @@ def tcp_service():
         except OSError:
             pass
         thread.join(timeout=30)
+
+
+@contextlib.contextmanager
+def _asyncio_errors():
+    """Collect ERROR records the asyncio logger emits inside the block."""
+    records: list[logging.LogRecord] = []
+
+    class _Capture(logging.Handler):
+        def emit(self, record):
+            records.append(record)
+
+    logger = logging.getLogger("asyncio")
+    handler = _Capture(level=logging.ERROR)
+    logger.addHandler(handler)
+    try:
+        yield records
+    finally:
+        logger.removeHandler(handler)
+
+
+def _assert_exact(spec, result):
+    """A wire result equals the standalone trial of its spec."""
+    reference = run_online_trial(
+        PlanarLattice(spec.d), spec.p, spec.rounds,
+        spec.online_config(), rng=spec.seed,
+    )
+    assert result["matches"] == wire_matches(reference.matches), spec
+    assert result["layer_cycles"] == list(reference.layer_cycles), spec
+
+
+def _assert_decodes_exactly(host, port, spec):
+    """A fresh client decodes ``spec`` bit-identically to the trial."""
+    with ServiceClient(host=host, port=port) as client:
+        _assert_exact(spec, client.decode(spec))
+
+
+class _Wire:
+    """A bare JSON-lines connection, for request lines ``ServiceClient``
+    never writes (raw bytes, arrays mixing ops, hand-picked ids)."""
+
+    def __init__(self, host, port):
+        self.sock = socket.create_connection((host, port), timeout=30)
+        self.file = self.sock.makefile("rwb")
+
+    def send(self, line) -> None:
+        """Write one line: raw ``bytes``, or any JSON value."""
+        if not isinstance(line, bytes):
+            line = json.dumps(line).encode()
+        self.file.write(line + b"\n")
+        self.file.flush()
+
+    def recv(self) -> dict | None:
+        """The next response, or ``None`` once the server closed."""
+        line = self.file.readline()
+        return json.loads(line) if line else None
+
+    def __enter__(self) -> "_Wire":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.file.close()
+        self.sock.close()
+
+
+@pytest.fixture()
+def tcp_service():
+    """A live TCP server on an ephemeral port, in a daemon thread."""
+    with _live_server(SchedulerConfig(max_active=8, max_queue=64)) as live:
+        yield live
 
 
 class TestTcpFrontEnd:
@@ -237,16 +313,7 @@ class TestTcpFrontEnd:
         'Task exception was never retrieved' noise behind — the handler
         treats connection errors as EOF — and the service keeps serving."""
         host, port, _ = tcp_service
-        records: list[logging.LogRecord] = []
-
-        class _Capture(logging.Handler):
-            def emit(self, record):
-                records.append(record)
-
-        logger = logging.getLogger("asyncio")
-        handler = _Capture(level=logging.ERROR)
-        logger.addHandler(handler)
-        try:
+        with _asyncio_errors() as records:
             rude = socket.create_connection((host, port), timeout=10)
             for i in range(4):
                 payload = {
@@ -261,18 +328,47 @@ class TestTcpFrontEnd:
             )
             rude.close()
             # The service must still be healthy for the next client.
-            spec = SessionSpec(d=3, p=0.02, seed=777)
-            with ServiceClient(host=host, port=port) as client:
-                result = client.decode(spec)
-            reference = run_online_trial(
-                PlanarLattice(spec.d), spec.p, spec.rounds,
-                spec.online_config(), rng=spec.seed,
-            )
-            assert result["matches"] == wire_matches(reference.matches)
+            _assert_decodes_exactly(host, port, SessionSpec(d=3, p=0.02, seed=777))
             time.sleep(0.2)  # let the dead connection's handler unwind
             gc.collect()  # a dropped task reports unretrieved exceptions here
-        finally:
-            logger.removeHandler(handler)
+        assert not records, [r.getMessage() for r in records]
+
+    def test_over_long_line_gets_bad_json_and_closes_only_its_connection(
+        self, tcp_service
+    ):
+        """A line past MAX_LINE_BYTES is answered with one bad-json
+        error naming the limit, then that connection closes — no
+        unhandled asyncio error, and the service keeps decoding."""
+        host, port, _ = tcp_service
+        with _asyncio_errors() as records:
+            with _Wire(host, port) as wire:
+                wire.send({"op": "ping", "pad": "x" * MAX_LINE_BYTES})
+                response = wire.recv()
+                assert wire.recv() is None  # closed after the error
+            assert response["id"] is None and response["error"] == "bad-json"
+            assert str(MAX_LINE_BYTES) in response["detail"]
+            _assert_decodes_exactly(host, port, SessionSpec(d=3, p=0.02, seed=778))
+            time.sleep(0.2)
+            gc.collect()
+        assert not records, [r.getMessage() for r in records]
+
+    def test_non_object_json_is_bad_json_and_the_connection_serves_on(
+        self, tcp_service
+    ):
+        """Valid JSON that is not a request object — a number, a string,
+        an array item — gets bad-json with a null id, and the same
+        connection keeps answering."""
+        host, port, _ = tcp_service
+        with _asyncio_errors() as records:
+            with _Wire(host, port) as wire:
+                for line in (42, "x", [1]):
+                    wire.send(line)
+                    response = wire.recv()
+                    assert response["id"] is None
+                    assert response["error"] == "bad-json"
+                wire.send({"op": "ping", "id": 7})
+                assert wire.recv() == {"id": 7, "ok": True, "pong": True}
+            _assert_decodes_exactly(host, port, SessionSpec(d=3, p=0.02, seed=779))
         assert not records, [r.getMessage() for r in records]
 
     def test_shutdown_is_clean(self, tcp_service):
@@ -288,13 +384,14 @@ class TestTcpFrontEnd:
         in the server's ``retries`` counter — the client-visible retry
         metric of docs/SERVING.md."""
         host, port, _ = tcp_service
-        with ServiceClient(host=host, port=port) as client:
-            request_id = client._send({
-                "op": "decode", "retry": 1,
+        with _Wire(host, port) as wire:
+            wire.send({
+                "op": "decode", "id": 1, "retry": 1,
                 "spec": SessionSpec(d=3, p=0.01, seed=42).to_payload(),
             })
-            response = client._read()
-            assert response["id"] == request_id and response["ok"]
+            response = wire.recv()
+            assert response["id"] == 1 and response["ok"]
+        with ServiceClient(host=host, port=port) as client:
             assert client.metrics()["retries"] == 1
 
     def test_shutdown_flushes_inflight_pipelined_decodes(self, tcp_service):
@@ -303,18 +400,17 @@ class TestTcpFrontEnd:
         flush in-flight sessions) before tearing the loop down — on
         3.11, Server.wait_closed alone does not cover handler tasks."""
         host, port, thread = tcp_service
-        with ServiceClient(host=host, port=port) as client:
-            ids = [
-                client._send({
-                    "op": "decode",
-                    "spec": SessionSpec(d=3, p=0.01, seed=900 + i).to_payload(),
+        ids, shutdown_id = range(6), 6
+        with _Wire(host, port) as wire:
+            for request_id in ids:
+                wire.send({
+                    "op": "decode", "id": request_id,
+                    "spec": SessionSpec(d=3, p=0.01, seed=900 + request_id).to_payload(),
                 })
-                for i in range(6)
-            ]
-            shutdown_id = client._send({"op": "shutdown"})
+            wire.send({"op": "shutdown", "id": shutdown_id})
             responses = {}
             while len(responses) < 7:
-                response = client._read()
+                response = wire.recv()
                 responses[response["id"]] = response
         for request_id in ids:
             assert responses[request_id]["ok"], responses[request_id]
@@ -322,6 +418,95 @@ class TestTcpFrontEnd:
         assert responses[shutdown_id]["ok"]
         thread.join(timeout=30)
         assert not thread.is_alive()
+
+
+@pytest.fixture(params=[0, 1], ids=["in-process", "shards=1"])
+def wave_service(request, monkeypatch):
+    """A live server, in-process or on one shard worker, that counts
+    the tasks its event loop creates and the kind of every message put
+    on a shard outbox."""
+    counts = {"tasks": 0, "outbox": []}
+    init = shard_module._Shard.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        put = self.outbox.put
+
+        def counted(message, *a, **kw):
+            if isinstance(message, tuple):
+                counts["outbox"].append(message[0])
+            put(message, *a, **kw)
+
+        self.outbox.put = counted
+
+    def count_tasks(loop):
+        def factory(loop, coro, **kwargs):
+            counts["tasks"] += 1
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        loop.set_task_factory(factory)
+
+    monkeypatch.setattr(shard_module._Shard, "__init__", counting_init)
+    config = SchedulerConfig(max_active=16, max_queue=128)
+    with _live_server(config, request.param, on_loop=count_tasks) as live:
+        yield live[:2], counts
+
+
+def _wave(n, seed0):
+    return [
+        SessionSpec(d=(3, 5)[i % 2], p=0.02, seed=seed0 + i) for i in range(n)
+    ]
+
+
+class TestWaveFrames:
+    """A decode_many wave is one unit from the client to the worker:
+    one request line, one service submission, one pipe message."""
+
+    def test_a_wave_costs_a_fixed_handful_of_server_tasks(self, wave_service):
+        """Tasks scale with request lines, not sessions: the connection
+        handler plus one readline task per line."""
+        (host, port), counts = wave_service
+        specs = _wave(64, seed0=1100)
+        before = counts["tasks"]
+        with ServiceClient(host=host, port=port) as client:
+            results = client.decode_many(specs)
+            tasks = counts["tasks"] - before
+        assert tasks <= 8, tasks
+        for spec, result in zip(specs, results):
+            _assert_exact(spec, result)
+
+    @pytest.mark.parametrize("wave_service", [1], indirect=True)
+    def test_a_wave_reaches_the_worker_as_one_submit_message(self, wave_service):
+        (host, port), counts = wave_service
+        with ServiceClient(host=host, port=port) as client:
+            client.decode_many(_wave(64, seed0=1200))
+        assert counts["outbox"].count("submit") == 1, counts["outbox"]
+
+    def test_mixed_array_line_answers_every_item(self, wave_service):
+        """One array line mixing good specs, a wrong-typed spec, a
+        non-object item and a retry: each item gets its own response,
+        good ones bit-identical, and the retry is counted once."""
+        (host, port), _ = wave_service
+        good = _wave(3, seed0=1300)
+        line = [
+            {"op": "decode", "id": "g0", "spec": good[0].to_payload()},
+            {"op": "decode", "id": "typed", "spec": {"d": 3, "p": 0.01, "seed": 1.5}},
+            42,
+            {"op": "decode", "id": "g1", "retry": 1, "spec": good[1].to_payload()},
+            {"op": "decode", "id": "g2", "spec": good[2].to_payload()},
+        ]
+        with _Wire(host, port) as wire:
+            wire.send(line)
+            responses = [wire.recv() for _ in line]
+            wire.send({"op": "metrics"})
+            retries = wire.recv()["metrics"]["retries"]
+        by_id = {r["id"]: r for r in responses}
+        assert len(by_id) == len(line)
+        assert by_id["typed"]["error"] == "bad-spec"
+        assert by_id[None]["error"] == "bad-json"
+        for request_id, spec in zip(("g0", "g1", "g2"), good):
+            _assert_exact(spec, by_id[request_id]["result"])
+        assert retries == 1
 
 
 class _ScriptedServer:
@@ -332,13 +517,15 @@ class _ScriptedServer:
 
     Connection ``n`` runs ``handlers[n]`` in its own daemon thread (a
     handler may park forever holding its socket — exactly how a hung
-    server looks to the client).  Every request frame read lands in
-    ``requests``, in arrival order.
+    server looks to the client).  Every request read — each item of an
+    array line — lands in ``requests``, in arrival order.
     """
 
     def __init__(self, *handlers):
         self.handlers = list(handlers)
         self.requests: list[dict] = []
+        self.line_sizes: list[int] = []  # bytes per request line, newline excluded
+        self._unread: dict = {}  # file -> items of its last array line
         self.sock = socket.socket()
         self.sock.bind(("127.0.0.1", 0))
         self.sock.listen(8)
@@ -369,12 +556,18 @@ class _ScriptedServer:
                 pass
 
     def read(self, file) -> dict:
-        line = file.readline()
-        if not line:
-            raise ConnectionError("client went away")
-        request = json.loads(line)
-        self.requests.append(request)
-        return request
+        """The next request item; an array line is read whole and its
+        items handed out one per call."""
+        if not self._unread.get(file):
+            line = file.readline()
+            if not line:
+                raise ConnectionError("client went away")
+            self.line_sizes.append(len(line.rstrip(b"\n")))
+            request = json.loads(line)
+            items = request if isinstance(request, list) else [request]
+            self.requests.extend(items)
+            self._unread[file] = items
+        return self._unread[file].pop(0)
 
     @staticmethod
     def write(file, payload: dict) -> None:
@@ -445,6 +638,29 @@ class TestClientResilience:
         assert retried_b["id"] == first_b["id"], "retry must reuse its id"
         assert retried_b["retry"] == 1
         assert retried_b["spec"] == first_b["spec"]
+
+    def test_wave_splits_into_lines_within_the_limit(self):
+        """A wave too big for one line goes out as several array lines,
+        each within MAX_LINE_BYTES, every request answered in order; a
+        request too long even alone fails as bad-json, unsent."""
+
+        def echoes(server, file):
+            while True:
+                r = server.read(file)
+                server.write(file, {
+                    "id": r["id"], "ok": True, "result": {"seed": r["spec"]["seed"]},
+                })
+
+        specs = [SessionSpec(d=3, p=0.01, seed=i) for i in range(600)]
+        huge = {"d": 3, "p": 0.01, "seed": 600, "noise_params": {"x": "y" * MAX_LINE_BYTES}}
+        with _ScriptedServer(echoes) as server:
+            with ServiceClient(host=server.host, port=server.port) as client:
+                outcomes = client.decode_many(specs + [huge], return_errors=True)
+        assert [r["seed"] for r in outcomes[:-1]] == list(range(600))
+        assert outcomes[-1].error == "bad-json" and not outcomes[-1].retryable
+        assert len(server.requests) == 600
+        assert len(server.line_sizes) > 1
+        assert max(server.line_sizes) <= MAX_LINE_BYTES
 
     def test_garbled_and_stale_frames_are_skipped(self):
         """Junk on the stream — an unparseable line, a response for an
