@@ -585,72 +585,26 @@ class QecoolEngine:
         self.run_to_idle(drain=True)
 
     def run_to_idle(self, drain: bool = False) -> None:
-        """Advance the Controller until it has nothing to do, without the
-        generator machinery of :meth:`run`.
+        """Advance the Controller until it has nothing to do.
 
-        Bit-identical state evolution (matches, cycles, layer boundaries)
-        to consuming :meth:`run` up to its next :data:`IDLE` — valid
-        **only** when the caller imposes no cycle deadline (unbounded
-        clock, or a full end-of-trial drain started before any
-        generator-based decoding): the Controller's post-IDLE state is
-        exactly "restart with budget 1", so there is no suspended sweep
-        position to preserve.  With ``drain=True`` it runs until every
-        layer is popped; otherwise it returns at the IDLE point and the
-        caller pushes more layers before calling it again.  Never mix
-        with a partially-consumed :meth:`run` generator on the same
-        engine.
-
-        MIRROR: this is :meth:`run`'s Controller loop without the yield
-        plumbing — any change to either loop must be applied to both.
+        Consumes a fresh :meth:`run` generator up to its first
+        :data:`IDLE` (or, with ``drain=True``, until it returns once
+        every layer is popped); the cycle stream is discarded (totals
+        still accumulate on the instance).  A fresh generator restarts
+        at budget 1, which is exactly the Controller's post-IDLE state,
+        so this is valid whenever the caller imposes no cycle deadline.
+        Never mix with a partially-consumed :meth:`run` generator on
+        the same engine.
         """
         tracer = self.tracer
-        if tracer is None:
-            self._run_to_idle(drain)
-            return
-        t = tracer.clock()
+        t = tracer.clock() if tracer is not None else 0.0
         try:
-            self._run_to_idle(drain)
+            for chunk in self.run(drain):
+                if chunk == IDLE:
+                    break
         finally:
-            tracer.add("engine.run_to_idle", t, tracer.clock() - t)
-
-    def _run_to_idle(self, drain: bool = False) -> None:
-        if drain:
-            self._drain = True
-        budget = 1
-        stall_guard = 0
-        while True:
-            progressed = False
-            while self.m > 0 and not self._layer0_occupied():
-                self._pop()
-                budget = 1
-                progressed = True
-            if self._drain and self.m == 0:
-                return
-            b_max = self._b_max()
-            n_sinks, need = self._survey(b_max)
-            if not n_sinks:
-                if self._drain and self.m > 0 and self.defects_remaining == 0:
-                    raise RuntimeError("drain stalled with no defects but layers left")
-                return
-            if need > budget:
-                # The fruitless sweeps are wall-clock-only (uncharged,
-                # as in run()); with no deadline they vanish entirely.
-                budget = min(need, self.nlimit)
-            matched, popped_mid_sweep = self._sweep_sync(budget, b_max)
-            progressed = progressed or matched or popped_mid_sweep
-            if popped_mid_sweep:
-                budget = 1
-            else:
-                budget = budget + 1 if budget < self.nlimit else 1
-            if progressed:
-                stall_guard = 0
-            else:
-                stall_guard += 1
-                if stall_guard > self.nlimit + self._depth_hint + 4:
-                    raise RuntimeError(
-                        "QECOOL engine made no progress over a full budget"
-                        " cycle — matching policy bug"
-                    )
+            if tracer is not None:
+                tracer.add("engine.run_to_idle", t, tracer.clock() - t)
 
     # ------------------------------------------------------------------
     # Internals
@@ -899,10 +853,6 @@ class QecoolEngine:
         stale needs no recomputation when its stale hop count already
         exceeds the budget: the stale key is a lower bound, so the true
         winner times out just the same.
-
-        MIRROR: :meth:`_sweep_sync` is this body minus the yields —
-        any change here must be applied there too (the equivalence
-        suite and golden pins police the lockstep).
         """
         matched = False
         lattice = self.lattice
@@ -975,76 +925,6 @@ class QecoolEngine:
             if any_match_this_b and self.m > 0 and not self._layer0_occupied():
                 yield self._pop()
                 return matched, True
-        return matched, False
-
-    def _sweep_sync(self, budget: int, b_max: int) -> tuple[bool, bool]:
-        """:meth:`_sweep` without the generator: identical state
-        evolution and cycle accounting, costs charged directly (used by
-        :meth:`run_to_idle`, where no caller can interrupt mid-sweep).
-
-        MIRROR: keep in lockstep with :meth:`_sweep` — any change to
-        either body must be applied to both."""
-        matched = False
-        lattice = self.lattice
-        cols = lattice.cols
-        mask_ints = self._mask_ints
-        row_counts = self._row_counts
-        cache = self._winner_cache
-        popped = self.popped
-        hops_div = 1024 * self._radix
-        timeout_cost = 2 * budget + 2
-        cycles = 0
-        for b in range(b_max + 1):
-            bit = 1 << b
-            live = self._live
-            if len(live) > 48:
-                hits = np.flatnonzero(
-                    (self._masks >> np.uint64(b)) & _ONE
-                ).tolist()
-            else:
-                hits = sorted(a for a in live if mask_ints[a] & bit)
-            n_hits = len(hits)
-            pos = 0
-            any_match_this_b = False
-            for r in range(lattice.rows):
-                row_end = (r + 1) * cols
-                if not row_counts[r]:
-                    while pos < n_hits and hits[pos] < row_end:
-                        pos += 1
-                    cycles += 1
-                    continue
-                cycles += cols
-                while pos < n_hits and hits[pos] < row_end:
-                    idx = hits[pos]
-                    pos += 1
-                    if not mask_ints[idx] & bit:
-                        continue  # consumed as a source earlier this sweep
-                    win = cache.get((idx, popped + b))
-                    if win is not None:
-                        hops = win // hops_div >> 1
-                        if hops > budget:
-                            cycles += timeout_cost
-                            continue
-                        if not self._packed_still_valid(win, idx, b):
-                            win = self._winner_for(idx, b)
-                            cache[(idx, popped + b)] = win
-                            hops = win // hops_div >> 1
-                    else:
-                        win = self._winner_for(idx, b)
-                        cache[(idx, popped + b)] = win
-                        hops = win // hops_div >> 1
-                    if hops <= budget:
-                        boundary = self._apply(win, idx, b)
-                        matched = True
-                        any_match_this_b = True
-                        cycles += timeout_cost if boundary else 2 * hops + 2
-                    else:
-                        cycles += timeout_cost
-            if any_match_this_b and self.m > 0 and not self._layer0_occupied():
-                self.cycles += cycles
-                self._pop()
-                return matched, True
-        self.cycles += cycles
         return matched, False
 
     def _apply(self, packed: int, idx: int, b: int) -> bool:

@@ -46,8 +46,8 @@ or cycle accounting — which is what lets the slab organisation differ
 from the scalar dict while the decisions stay identical.
 
 MIRROR: the Controller logic here must stay in lock-step with
-``QecoolEngine.run`` / ``run_to_idle`` / ``_sweep`` / ``_sweep_sync``
-(the equivalence suites and golden pins police it).
+``QecoolEngine.run`` / ``_sweep``, the scalar engine's one Controller
+loop (the equivalence suites and golden pins police it).
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from repro.core.engine import (
     MAX_LAYERS,
     _fast_match,
     _kernel_geometry,
-    QecoolEngine,
 )
 from repro.core import kernels
 from repro.core.spike import PRIORITY_WEST, port_table
@@ -522,7 +521,7 @@ class QecoolEngineBatch:
     ) -> None:
         """The Controller while-loop for lanes at a clean iteration start.
 
-        MIRROR of ``QecoolEngine.run`` / ``run_to_idle``: pops, the
+        MIRROR of ``QecoolEngine.run``: pops, the
         drain-return check, the survey, the analytic budget skip, one
         real sweep, the budget bump and the stall guard — each phase
         vectorized over the lanes still running it.
@@ -1391,14 +1390,3 @@ class QecoolEngineBatch:
                     " cycle — matching policy bug"
                 )
         return True
-
-    # ------------------------------------------------------------------
-    # Oracle cross-check helper
-    # ------------------------------------------------------------------
-    def scalar_twin(self, lane: int) -> QecoolEngine:
-        """A fresh scalar engine of this batch's shape (the oracle the
-        equivalence tests replay each lane's input stream through)."""
-        return QecoolEngine(
-            self.lattice, thv=self.thv, reg_size=self.reg_size,
-            nlimit=self.nlimit,
-        )

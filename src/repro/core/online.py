@@ -23,7 +23,7 @@ failure if the residual error crosses the west-east cut.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -112,7 +112,6 @@ def run_online_trial(
     config: OnlineConfig = OnlineConfig(),
     rng: np.random.Generator | int | None = None,
     q: float | None = None,
-    engine_factory: Callable[..., QecoolEngine] | None = None,
 ) -> OnlineOutcome:
     """Run one online-QEC trial of ``n_rounds`` noisy measurement rounds.
 
@@ -123,11 +122,6 @@ def run_online_trial(
     Returns an :class:`OnlineOutcome`; ``failed`` is True on Reg overflow
     or on a residual logical error after the final drain.
 
-    ``engine_factory`` swaps in an alternative engine implementation
-    with the ``QecoolEngine`` constructor/generator contract — used by
-    ``benchmarks/bench_engine.py`` to race the array-native engine
-    against the frozen pre-rewrite baseline on identical trials.
-
     Monte-Carlo points batch trials across a chunk with
     :func:`run_online_chunk` instead (bit-identical outcomes).
     """
@@ -135,17 +129,12 @@ def run_online_trial(
         raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
     rng = make_rng(rng)
     noise = _resolve_trial_noise(p, q)
-    engine = (engine_factory or QecoolEngine)(
-        lattice, thv=config.thv, reg_size=config.reg_size
-    )
+    engine = QecoolEngine(lattice, thv=config.thv, reg_size=config.reg_size)
     budget = config.cycles_per_interval
-    # With no cycle deadline the decode between rounds always runs to
-    # IDLE, so the engine can advance synchronously (no generator); a
-    # finite clock needs run()'s resumable cycle stream.  The baseline
-    # engine hook predates run_to_idle, so it always takes the
-    # generator path.
-    unconstrained = math.isinf(budget) and hasattr(engine, "run_to_idle")
-    gen = None if unconstrained else engine.run(drain=False)
+    # One resumable Controller for the whole trial: a finite clock
+    # suspends it mid-sweep at each interval boundary; with no deadline
+    # every decode simply runs on to IDLE.
+    gen = engine.run(drain=False)
 
     # Per-trial scratch, allocated once and reused across rounds.
     error = np.zeros(lattice.n_data, dtype=np.uint8)
@@ -185,15 +174,12 @@ def run_online_trial(
         if final_round:
             engine.begin_drain()
             deadline = math.inf
-        if unconstrained:
-            engine.run_to_idle()
-        else:
-            for chunk in gen:
-                if chunk == IDLE:
-                    break
-                wall += chunk
-                if wall >= deadline:
-                    break
+        for chunk in gen:
+            if chunk == IDLE:
+                break
+            wall += chunk
+            if wall >= deadline:
+                break
         # Apply the window's corrections physically before the next round.
         new_matches = engine.matches[consumed_matches:]
         consumed_matches = len(engine.matches)
@@ -526,13 +512,10 @@ class OnlineShot(StreamingShotState):
                 if engine is None
                 else engine
             )
-            # A finite clock needs run()'s resumable cycle stream
-            # (decodes freeze mid-sweep at the interval boundary);
-            # without a deadline the engine advances synchronously via
-            # run_to_idle().
-            self._gen = (
-                None if self._unconstrained else self.engine.run(drain=False)
-            )
+            # The resumable Controller: a finite clock freezes decodes
+            # mid-sweep at the interval boundary; without a deadline
+            # every decode runs on to IDLE.
+            self._gen = self.engine.run(drain=False)
 
     def release(self) -> None:
         """Return the shot's batch lane (after its outcome is built)."""
@@ -614,28 +597,28 @@ class OnlineShot(StreamingShotState):
         if not engine.push_layer(events_row):
             self._overflow_outcome()
             return "overflow", None
+        # An unconstrained row keeps wall 0 (as on batch lanes): only a
+        # finite clock does wall arithmetic, so nothing multiplies into
+        # ``inf``.
         if self._unconstrained:
-            deadline = math.inf
+            wall, deadline = 0.0, math.inf
         else:
             wall = max(float(block.wall[row]), k * self._budget)
-            block.wall[row] = wall
             deadline = (k + 1) * self._budget
         if final:
             engine.begin_drain()
             deadline = math.inf
-        if self._unconstrained:
-            engine.run_to_idle()
-        else:
-            at_idle = True  # generator exhaustion (drain) parks clean too
-            for chunk in self._gen:
-                if chunk == IDLE:
-                    break
-                wall += chunk
-                if wall >= deadline:
-                    at_idle = False
-                    break
+        at_idle = True  # generator exhaustion (drain) parks clean too
+        for chunk in self._gen:
+            if chunk == IDLE:
+                break
+            wall += chunk
+            if wall >= deadline:
+                at_idle = False
+                break
+        if not self._unconstrained:
             block.wall[row] = wall
-            block.at_idle[row] = at_idle
+        block.at_idle[row] = at_idle
         block.k[row] = k + 1
         consumed = int(block.consumed[row])
         new_matches = engine.matches[consumed:]

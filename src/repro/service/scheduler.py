@@ -86,6 +86,12 @@ pooled scalar engines — whose session state, noise draws, and syndrome
 passes ride the same slabs either way."""
 
 
+ENGINE_POOL_PER_SHAPE = 256
+"""Initial lanes of each shape's batch engine (it grows on demand, so
+this is a pre-allocation hint) and the bound on recycled scalar engines
+kept per shape."""
+
+
 class Backpressure(RuntimeError):
     """Raised by :meth:`MicroBatchScheduler.submit` when the admission
     queue is full; the caller should shed or retry the session."""
@@ -97,7 +103,6 @@ class SchedulerConfig:
 
     max_active: int = 256
     max_queue: int = 1024
-    engine_pool_per_shape: int = 256  # initial lanes per batch engine
     max_idle_shapes: int = 8  # drained shape groups kept warm (LRU)
     trace: bool = False
     """Enable the phase tracer (:class:`repro.obs.trace.Tracer`):
@@ -110,18 +115,12 @@ class SchedulerConfig:
     trace_sample: int = 64
     """Keep one *full* span record per this many spans in the tracer's
     ring buffer (aggregates always see every span)."""
-    trace_capacity: int = 4096
-    """Ring-buffer bound on retained full span records."""
 
     def __post_init__(self) -> None:
         if self.max_active < 1:
             raise ValueError(f"max_active must be >= 1, got {self.max_active}")
         if self.max_queue < 0:
             raise ValueError(f"max_queue must be >= 0, got {self.max_queue}")
-        if self.engine_pool_per_shape < 0:
-            raise ValueError(
-                f"engine_pool_per_shape must be >= 0, got {self.engine_pool_per_shape}"
-            )
         if self.max_idle_shapes < 0:
             raise ValueError(
                 f"max_idle_shapes must be >= 0, got {self.max_idle_shapes}"
@@ -129,10 +128,6 @@ class SchedulerConfig:
         if self.trace_sample < 1:
             raise ValueError(
                 f"trace_sample must be >= 1, got {self.trace_sample}"
-            )
-        if self.trace_capacity < 1:
-            raise ValueError(
-                f"trace_capacity must be >= 1, got {self.trace_capacity}"
             )
 
 
@@ -180,11 +175,7 @@ class MicroBatchScheduler:
         # cover the whole tick.  It shares the scheduler's clock —
         # injectable fakes drive spans deterministically in tests.
         self.tracer = (
-            Tracer(
-                capacity=self.config.trace_capacity,
-                sample_every=self.config.trace_sample,
-                clock=clock,
-            )
+            Tracer(sample_every=self.config.trace_sample, clock=clock)
             if self.config.trace
             else None
         )
@@ -278,13 +269,9 @@ class MicroBatchScheduler:
         key = (spec.d, spec.thv, spec.reg_size)
         batch = self._engine_pool.get(key)
         if batch is None:
-            capacity = max(
-                1,
-                min(self.config.engine_pool_per_shape, self.config.max_active),
-            )
             batch = self._engine_pool[key] = QecoolEngineBatch(
                 lattice, thv=spec.thv, reg_size=spec.reg_size,
-                capacity=capacity,
+                capacity=min(ENGINE_POOL_PER_SHAPE, self.config.max_active),
             )
             batch.tracer = self.tracer
         return batch
@@ -302,7 +289,7 @@ class MicroBatchScheduler:
     def _recycle_scalar(self, spec: SessionSpec, engine: QecoolEngine) -> None:
         key = (spec.d, spec.thv, spec.reg_size)
         pool = self._scalar_pool.setdefault(key, [])
-        if len(pool) < self.config.engine_pool_per_shape:
+        if len(pool) < ENGINE_POOL_PER_SHAPE:
             pool.append(engine.reset())
 
     def _events_per_round(

@@ -101,6 +101,10 @@ class ShardFailure(RuntimeError):
 # ----------------------------------------------------------------------
 # Consistent-hash ring
 # ----------------------------------------------------------------------
+RING_REPLICAS = 64
+"""Virtual nodes per shard on the consistent-hash ring."""
+
+
 class HashRing:
     """Consistent hashing with virtual nodes.
 
@@ -111,10 +115,7 @@ class HashRing:
     makes worker death cheap: survivors keep their sessions.
     """
 
-    def __init__(self, replicas: int = 64):
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas}")
-        self.replicas = replicas
+    def __init__(self):
         self._points: list[tuple[int, int]] = []  # sorted (point, shard)
 
     @staticmethod
@@ -123,7 +124,7 @@ class HashRing:
         return int.from_bytes(digest, "big")
 
     def add(self, shard: int) -> None:
-        for v in range(self.replicas):
+        for v in range(RING_REPLICAS):
             bisect.insort(self._points, (self._hash(f"shard:{shard}:{v}"), shard))
 
     def remove(self, shard: int) -> None:
@@ -364,8 +365,6 @@ class ShardRouter:
         heartbeat_timeout_s: float | None = None,
         session_deadline_s: float | None = None,
         faults=None,
-        start_method: str | None = None,
-        replicas: int = 64,
     ):
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
@@ -399,14 +398,14 @@ class ShardRouter:
             self.heartbeat_timeout_s = None
         self.session_deadline_s = session_deadline_s
         self.faults = faults
-        if start_method is None:
-            # fork shares the parent's warm imports (numpy, repro) —
-            # orders of magnitude cheaper than spawn; fall back where
-            # the platform lacks it.
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(start_method)
-        self._ring = HashRing(replicas)
+        # fork shares the parent's warm imports (numpy, repro) — orders
+        # of magnitude cheaper than spawn; fall back where the platform
+        # lacks it.
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn"
+        )
+        self._ring = HashRing()
         self._shards: dict[int, _Shard] = {}
         self._loop: asyncio.AbstractEventLoop | None = None
         self._closed = False
@@ -422,10 +421,7 @@ class ShardRouter:
         # shard lifecycle events); workers build their own from the
         # same config and ship aggregates back inside snapshots.
         self.tracer = (
-            Tracer(
-                capacity=self.config.trace_capacity,
-                sample_every=self.config.trace_sample,
-            )
+            Tracer(sample_every=self.config.trace_sample)
             if self.config.trace
             else None
         )

@@ -107,7 +107,8 @@ def test_streaming_equivalence(d, reg_size, thv, seed):
 @pytest.mark.parametrize("d", [3, 5])
 @pytest.mark.parametrize("reg_size", [None, 7])
 def test_streaming_equivalence_sync_path(d, reg_size):
-    """run_to_idle (the deadline-free sync path) is the same machine."""
+    """run_to_idle, which consumes a fresh run() per call (budget 1,
+    stall guard 0), is the same machine as one generator across IDLEs."""
     _random_stream_case(d, reg_size, thv=3, seed=97 * d, sync_mode="sync")
 
 
@@ -128,7 +129,7 @@ def test_streaming_equivalence_profiles(d, reg_size, thv, seed, profile):
 @pytest.mark.parametrize("d", [3, 5])
 @pytest.mark.parametrize("reg_size", [None, 7])
 def test_streaming_equivalence_sync_path_profiles(d, reg_size, profile):
-    """The sync path at the density extremes."""
+    """The fresh-generator-per-call path at the density extremes."""
     _random_stream_case(
         d, reg_size, thv=3, seed=97 * d + 1, n_rounds=12, sync_mode="sync",
         profile=profile,

@@ -16,7 +16,7 @@ the absolute values.
 from __future__ import annotations
 
 from repro.core.decoder import QecoolDecoder
-from repro.core.online import OnlineConfig
+from repro.core.online import OnlineConfig, run_online_trial
 from repro.decoders.mwpm import MwpmDecoder
 from repro.experiments.executor import PointCache
 from repro.experiments.montecarlo import (
@@ -24,6 +24,7 @@ from repro.experiments.montecarlo import (
     run_code_capacity_point,
     run_online_point,
 )
+from repro.surface_code.lattice import PlanarLattice
 
 
 class TestGoldenCodeCapacity:
@@ -59,6 +60,25 @@ class TestGoldenOnline:
         assert (point.failures, point.overflows) == (1, 0)
         assert len(point.layer_cycles) == 25 * 6
         assert sum(point.layer_cycles) == 1068
+
+    def test_unconstrained_clock_on_batch_lanes(self):
+        # ``frequency_hz=None``: no cycle deadline at all (the default
+        # config above is the 2 GHz clock).
+        point = run_online_point(
+            3, 0.02, 25, OnlineConfig(frequency_hz=None), rng=99,
+            n_rounds=5, keep_layer_cycles=True,
+        )
+        assert (point.failures, point.overflows) == (1, 0)
+        assert len(point.layer_cycles) == 25 * 6
+        assert sum(point.layer_cycles) == 1068
+
+    def test_unconstrained_clock_scalar_trial(self):
+        outcome = run_online_trial(
+            PlanarLattice(5), 0.03, 8, OnlineConfig(frequency_hz=None), rng=11
+        )
+        assert (outcome.failed, outcome.overflow) == (False, False)
+        assert len(outcome.matches) == 17
+        assert sum(outcome.layer_cycles) == 360
 
     def test_finite_clock(self):
         point = run_online_point(

@@ -165,21 +165,3 @@ class TestOnlineChunk:
         for a, b in zip(chunk, singles):
             assert a.matches == b.matches
             assert a.failed == b.failed
-
-    def test_engine_factory_hook(self, d5):
-        """run_online_trial accepts a drop-in engine implementation."""
-        from repro.core.engine import QecoolEngine
-
-        calls = []
-
-        def factory(lattice, thv, reg_size):
-            calls.append((thv, reg_size))
-            return QecoolEngine(lattice, thv=thv, reg_size=reg_size)
-
-        base = run_online_trial(d5, 0.02, 4, OnlineConfig(), rng=3)
-        hooked = run_online_trial(
-            d5, 0.02, 4, OnlineConfig(), rng=3, engine_factory=factory
-        )
-        assert calls == [(3, 7)]
-        assert hooked.matches == base.matches
-        assert hooked.layer_cycles == base.layer_cycles
