@@ -10,12 +10,12 @@ between rounds with backpressure; the **transport** is an in-process
 async API plus a JSON-lines TCP front end (``repro-runner serve`` /
 :mod:`repro.service.client`); the **shard router**
 (:mod:`repro.service.shard`, ``repro-runner serve --shards N``) scales
-sessions/s with cores by consistent-hashing sessions across worker
+sessions/s with cores by dealing sessions round-robin across worker
 processes that each own a full scheduler, requeueing or shedding a dead
 worker's in-flight sessions; the **supervision layer** (heartbeat
 liveness, exponential-backoff respawn, deterministic fault injection
 via :class:`FaultPlan` — see :mod:`repro.service.faults`) heals the
-ring after worker crashes and hangs; the **metrics core** tracks per-round
+fleet after worker crashes and hangs; the **metrics core** tracks per-round
 latency percentiles, throughput, drop rate and queue depth, persisted
 through :mod:`repro.experiments.results`.
 
@@ -37,7 +37,7 @@ from repro.service.session import (
     WindowOutcome,
     WindowShot,
 )
-from repro.service.shard import HashRing, ShardFailure, ShardRouter
+from repro.service.shard import ShardFailure, ShardRouter
 
 __all__ = [
     "Backpressure",
@@ -45,7 +45,6 @@ __all__ = [
     "DecodeSession",
     "Fault",
     "FaultPlan",
-    "HashRing",
     "MicroBatchScheduler",
     "SchedulerConfig",
     "ServiceMetrics",

@@ -120,8 +120,10 @@ class DecodeService:
         self._wake.set()
         return futures
 
-    def metrics(self) -> dict:
-        """Live metrics snapshot (see :class:`ServiceMetrics`)."""
+    async def metrics(self) -> dict:
+        """Live metrics snapshot (see :class:`ServiceMetrics`); a
+        coroutine like :meth:`~repro.service.shard.ShardRouter.metrics`,
+        so the TCP front end is backend-agnostic."""
         return self.scheduler.metrics.snapshot()
 
     def record_client_retry(self) -> None:

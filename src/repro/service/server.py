@@ -51,7 +51,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import functools
-import inspect
 import json
 import sys
 
@@ -74,13 +73,6 @@ _ERROR_KINDS = (
     (ShardFailure, "shard-failure"),
     ((TypeError, ValueError), "bad-spec"),
 )
-
-
-async def _metrics(service) -> dict:
-    # DecodeService.metrics is sync; ShardRouter's is a coroutine (the
-    # numbers live in the workers).
-    snapshot = service.metrics()
-    return await snapshot if inspect.isawaitable(snapshot) else snapshot
 
 
 class _Connection:
@@ -227,7 +219,7 @@ class _Connection:
                     continue
                 ids.append(payload_id)
             elif op == "metrics":
-                snapshot = await _metrics(self.service)
+                snapshot = await self.service.metrics()
                 self.write({"id": payload_id, "ok": True, "metrics": snapshot})
             elif op == "ping":
                 self.write({"id": payload_id, "ok": True, "pong": True})
@@ -318,7 +310,7 @@ async def serve(
 
         def snapshot_fn():
             # Runs on the HTTP thread: marshal onto the loop.
-            future = asyncio.run_coroutine_threadsafe(_metrics(service), loop)
+            future = asyncio.run_coroutine_threadsafe(service.metrics(), loop)
             return future.result(timeout=30)
 
         metrics_server = None

@@ -4,11 +4,11 @@ A :class:`SessionSpec` names everything one logical-qubit decode stream
 needs — lattice distance, noise, round budget, decoder clock, Reg
 shape, seed — in a JSON-safe form shared by the in-process API and the
 TCP front end.  A :class:`DecodeSession` is one accepted spec moving
-through the scheduler's lifecycle (``QUEUED -> ACTIVE -> DONE``, or
-``REJECTED`` under backpressure); its ``shot`` is the streaming engine
-state (:class:`repro.core.online.OnlineShot` for online sessions,
-:class:`WindowShot` for sliding-window sessions) and its ``result`` the
-final :class:`SessionResult`.
+through the scheduler's lifecycle (``QUEUED -> ACTIVE -> DONE``; a
+spec refused under backpressure never becomes a session); its ``shot``
+is the streaming engine state (:class:`repro.core.online.OnlineShot`
+for online sessions, :class:`WindowShot` for sliding-window sessions)
+and its ``result`` the final :class:`SessionResult`.
 
 Two session modes share the scheduler's micro-batches:
 
@@ -252,7 +252,6 @@ class SessionState(enum.Enum):
     QUEUED = "queued"
     ACTIVE = "active"
     DONE = "done"
-    REJECTED = "rejected"
 
 
 @dataclass

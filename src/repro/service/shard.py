@@ -10,13 +10,18 @@ async/TCP front end:
   owning a *full* ``MicroBatchScheduler`` (engine pools, state slabs,
   metrics) and running the synchronous admit/step/retire loop of
   :func:`_shard_worker`;
-- sessions route to workers by **consistent hash** on the router-issued
-  session id (uniform spread);
+- sessions deal to workers **round-robin**: the router-issued ticket
+  picks ``live[ticket % len(live)]`` over the alive shards in index
+  order (a session is a pure function of its spec, so placement only
+  balances load);
 - specs travel to workers and results travel back over per-worker
-  duplex pipes, pumped by one writer and one reader thread per shard so
-  the event loop never blocks on a pipe.  The wave is the message unit
-  both ways: :meth:`ShardRouter.submit_wave` sends each worker its share
-  of a wave as one ``submit`` message, and the worker answers each
+  duplex pipes as the service's own pickled objects
+  (:class:`~repro.service.session.SessionSpec` in,
+  :class:`~repro.service.session.SessionResult` out), pumped by one
+  writer and one reader thread per shard so the event loop never
+  blocks on a pipe.  The wave is the message unit both ways:
+  :meth:`ShardRouter.submit_wave` sends each worker its share of a
+  wave as one ``submit`` message, and the worker answers each
   scheduler tick's retirements and rejections as one ``tick`` message;
 - :meth:`ShardRouter.metrics` aggregates per-worker
   :class:`~repro.service.metrics.ServiceMetrics` snapshots under
@@ -26,11 +31,12 @@ async/TCP front end:
   so cross-shard percentiles equal a single scheduler having seen every
   observation (no max-of-maxes approximation);
 - a worker that **dies mid-stream** (crash, kill -9) is detected by its
-  reader thread seeing EOF: the shard leaves the ring, its in-flight
-  sessions are **requeued once** onto surviving shards (decode state is
-  a pure function of the spec, so a replayed session is bit-identical)
-  or — when requeueing is disabled, exhausted, or no shard survives —
-  **shed** with :class:`ShardFailure`.  Co-tenant shards are unaffected;
+  reader thread seeing EOF: the shard stops taking placements, its
+  in-flight sessions are **requeued once** onto surviving shards
+  (decode state is a pure function of the spec, so a replayed session
+  is bit-identical) or — when already requeued once, or when no shard
+  survives — **shed** with :class:`ShardFailure`.  Co-tenant shards
+  are unaffected: a session is pinned to its shard at admission;
 - a worker that is **alive but hung** is caught by the liveness layer:
   workers heartbeat over their pipe every ``heartbeat_interval_s`` (any
   frame counts as liveness — results included) and the router's monitor
@@ -39,13 +45,12 @@ async/TCP front end:
   (``session_deadline_s * (rounds + 1)``), funnelling it into the same
   EOF death path — one recovery path, not two;
 - a dead worker is **respawned** (``respawn``, default on) with
-  exponential backoff under a per-shard restart budget.  Re-adding its
-  index to the :class:`HashRing` re-inserts the *identical* vnode
-  points (they hash from the index alone), so the respawned worker
-  reclaims exactly the ranges it held — in-flight sessions on
-  survivors are never remapped.  Sessions that could not be requeued
-  because no shard survived are parked and replayed on the respawned
-  worker, bit-identically (the spec carries the whole decode);
+  exponential backoff under a per-shard restart budget
+  (:data:`RESPAWN_BUDGET`) and takes its turn in the deal again;
+  in-flight sessions on survivors never move.  Sessions that could
+  not be requeued because no shard survived are parked and replayed
+  on the respawned worker, bit-identically (the spec carries the
+  whole decode);
 - deterministic chaos testing threads a seeded
   :class:`~repro.service.faults.FaultPlan` through the spawn arguments:
   each worker injects its own crashes / stalls / slow steps / malformed
@@ -72,14 +77,12 @@ or over TCP: ``repro-runner serve --shards 4``.
 from __future__ import annotations
 
 import asyncio
-import bisect
-import hashlib
 import multiprocessing
 import os
 import queue
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.obs.hist import LogHistogram
 from repro.obs.trace import Tracer, merge_summaries
@@ -91,58 +94,15 @@ from repro.service.scheduler import (
 )
 from repro.service.session import SessionResult, SessionSpec
 
-__all__ = ["HashRing", "ShardFailure", "ShardRouter"]
+__all__ = ["ShardFailure", "ShardRouter"]
 
 
 class ShardFailure(RuntimeError):
     """A session was shed because its worker shard died mid-stream."""
 
 
-# ----------------------------------------------------------------------
-# Consistent-hash ring
-# ----------------------------------------------------------------------
-RING_REPLICAS = 64
-"""Virtual nodes per shard on the consistent-hash ring."""
-
-
-class HashRing:
-    """Consistent hashing with virtual nodes.
-
-    Points come from ``blake2b`` (stable across processes and Python
-    runs, unlike the salted builtin ``hash``), so placement of a fixed
-    key set over a fixed shard set is fully deterministic.  Removing a
-    shard only remaps the keys that lived on it — the property that
-    makes worker death cheap: survivors keep their sessions.
-    """
-
-    def __init__(self):
-        self._points: list[tuple[int, int]] = []  # sorted (point, shard)
-
-    @staticmethod
-    def _hash(key: str) -> int:
-        digest = hashlib.blake2b(key.encode(), digest_size=8).digest()
-        return int.from_bytes(digest, "big")
-
-    def add(self, shard: int) -> None:
-        for v in range(RING_REPLICAS):
-            bisect.insort(self._points, (self._hash(f"shard:{shard}:{v}"), shard))
-
-    def remove(self, shard: int) -> None:
-        self._points = [p for p in self._points if p[1] != shard]
-
-    def route(self, key: str) -> int:
-        """The shard owning ``key``: first ring point at or after its hash."""
-        if not self._points:
-            raise LookupError("empty hash ring")
-        i = bisect.bisect_left(self._points, (self._hash(key), -1))
-        return self._points[i % len(self._points)][1]
-
-    @property
-    def shards(self) -> list[int]:
-        return sorted({shard for _, shard in self._points})
-
-    def __len__(self) -> int:
-        return len(self.shards)
+RESPAWN_BUDGET = 5
+"""Respawns allowed per shard index before its death becomes terminal."""
 
 
 # ----------------------------------------------------------------------
@@ -160,11 +120,13 @@ def _shard_worker(
 
     Protocol (tuples over the pipe, pickled):
 
-    - in: ``("submit", [(ticket, spec_payload), ...])`` (one wave) /
+    - in: ``("submit", [(ticket, SessionSpec), ...])`` (one wave) /
       ``("metrics", token)`` / ``("stop",)``
-    - out: ``("tick", [(ticket, SessionResult), ...], [(ticket,
-      exception), ...])`` (one tick's retirements and rejections) / ``("metrics", token, snapshot)`` / ``("hb", tick)``
-      / ``("crashed", repr)`` / ``("stopped",)``
+    - out: ``("tick", [SessionResult, ...], [(ticket, exception),
+      ...])`` (one tick's retirements, each carrying its router ticket
+      as ``session_id``, and rejections) / ``("metrics", token,
+      snapshot)`` / ``("hb", tick)`` / ``("crashed", repr)`` /
+      ``("stopped",)``
 
     The loop blocks on the pipe while idle, drains every buffered
     message before each step (a wave arrives whole in one message, so
@@ -204,9 +166,9 @@ def _shard_worker(
         while conn.poll(0.0):
             message = conn.recv()
             if message[0] == "submit":
-                for ticket, payload in message[1]:
+                for ticket, spec in message[1]:
                     try:
-                        session = scheduler.submit(SessionSpec.from_payload(payload))
+                        session = scheduler.submit(spec)
                     except (Backpressure, TypeError, ValueError) as exc:
                         rejects.append((ticket, exc))
                     else:
@@ -247,10 +209,12 @@ def _shard_worker(
             if conn.poll(heartbeat_s if idle else 0.0):
                 drain_pipe()
             heartbeat()
-            results = [
-                (tickets.pop(session.id), session.result)
-                for session in (scheduler.step() if scheduler.pending else ())
-            ]
+            results = []
+            for session in scheduler.step() if scheduler.pending else ():
+                # Workers number sessions locally; the router's ticket
+                # is the service-wide session id clients see.
+                session.result.session_id = tickets.pop(session.id)
+                results.append(session.result)
             if results or rejects:
                 conn.send(("tick", results, rejects))
                 rejects.clear()
@@ -305,7 +269,7 @@ class _Shard:
         self.conn = conn
         self.outbox: queue.Queue = queue.Queue()
         self.inflight: dict[int, _Inflight] = {}
-        self.alive = True       # routable (ring membership mirrors this)
+        self.alive = True       # takes placements
         self.stopping = False   # clean stop requested
         self.done = False       # exit already processed (idempotence)
         self.exited: asyncio.Event | None = None  # set on the loop thread
@@ -323,22 +287,22 @@ class ShardRouter:
     """Route decode sessions across worker-process schedulers.
 
     Drop-in async facade next to :class:`~repro.service.api.DecodeService`
-    (``submit`` awaits the :class:`SessionResult`; ``async with``
-    starts/stops the workers) with one deliberate difference:
-    :meth:`metrics` is a *coroutine* — the numbers live in the workers.
+    (``submit`` awaits the :class:`SessionResult`, ``await metrics()``
+    asks the workers; ``async with`` starts/stops the workers).
 
     ``config`` is the **per-worker** :class:`SchedulerConfig`: total
-    capacity is ``n_shards * max_active``.  ``requeue`` (default on)
-    replays a dead worker's in-flight sessions once on survivors;
-    replays are exact because a session's decode depends only on its
-    spec (seeded noise stream included).
+    capacity is ``n_shards * max_active``.  Sessions deal round-robin
+    over the live shards by ticket.  A dead worker's in-flight sessions
+    are replayed once on survivors; replays are exact because a
+    session's decode depends only on its spec (seeded noise stream
+    included).
 
     Supervision knobs (see ``docs/DESIGN.md`` section 12):
 
     - ``respawn`` (default on): a dead worker is respawned after
       ``respawn_backoff_s * 2**n`` (n = prior respawns of that index,
-      capped at 30 s) up to ``respawn_budget`` times per shard, and
-      rejoins the ring reclaiming exactly its old vnode ranges.
+      capped at 30 s) up to :data:`RESPAWN_BUDGET` times per shard,
+      and takes its turn in the round-robin deal again.
     - ``heartbeat_interval_s`` (default 1.0, ``None``/0 disables):
       workers heartbeat at this cadence; the monitor task kills a
       worker silent for ``heartbeat_timeout_s`` (default 5x the
@@ -357,10 +321,8 @@ class ShardRouter:
         self,
         n_shards: int = 2,
         config: SchedulerConfig | None = None,
-        requeue: bool = True,
         respawn: bool = True,
         respawn_backoff_s: float = 0.5,
-        respawn_budget: int = 5,
         heartbeat_interval_s: float | None = 1.0,
         heartbeat_timeout_s: float | None = None,
         session_deadline_s: float | None = None,
@@ -372,14 +334,10 @@ class ShardRouter:
             raise ValueError(
                 f"respawn_backoff_s must be > 0, got {respawn_backoff_s}"
             )
-        if respawn_budget < 0:
-            raise ValueError(f"respawn_budget must be >= 0, got {respawn_budget}")
         self.n_shards = n_shards
         self.config = config or SchedulerConfig()
-        self.requeue = requeue
         self.respawn = respawn
         self.respawn_backoff_s = respawn_backoff_s
-        self.respawn_budget = respawn_budget
         # Falsy (None/0) disables the heartbeat layer entirely: workers
         # block forever when idle and the monitor never arms.
         self.heartbeat_interval_s = heartbeat_interval_s or None
@@ -405,7 +363,6 @@ class ShardRouter:
         self._ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn"
         )
-        self._ring = HashRing()
         self._shards: dict[int, _Shard] = {}
         self._loop: asyncio.AbstractEventLoop | None = None
         self._closed = False
@@ -480,7 +437,6 @@ class ShardRouter:
         shard.reader.start()
         shard.writer.start()
         self._shards[index] = shard
-        self._ring.add(index)
 
     async def close(self, drain: bool = True) -> None:
         """Stop the fleet.
@@ -573,19 +529,13 @@ class ShardRouter:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def placement(self, ticket: int) -> int:
-        """The shard index the ring currently assigns (pure, no I/O)."""
-        return self._ring.route(f"session:{ticket}")
-
     def _pick(self, ticket: int) -> _Shard | None:
-        key = f"session:{ticket}"
-        while len(self._ring):
-            index = self._ring.route(key)
-            shard = self._shards.get(index)
-            if shard is not None and shard.alive:
-                return shard
-            self._ring.remove(index)  # stale ring entry
-        return None
+        """Deal ``ticket`` round-robin over the alive shards in index
+        order; ``None`` when no shard is alive."""
+        # _shards holds indices in spawn order and a respawn replaces
+        # its entry in place, so iteration order is index order.
+        live = [shard for shard in self._shards.values() if shard.alive]
+        return live[ticket % len(live)] if live else None
 
     # ------------------------------------------------------------------
     # Submission
@@ -637,9 +587,7 @@ class ShardRouter:
         waves: dict[_Shard, list] = {}
         for shard, entry in routed:
             shard.inflight[entry.ticket] = entry
-            waves.setdefault(shard, []).append(
-                (entry.ticket, entry.spec.to_payload())
-            )
+            waves.setdefault(shard, []).append((entry.ticket, entry.spec))
         for shard, wave in waves.items():
             shard.outbox.put(("submit", wave))
 
@@ -651,8 +599,8 @@ class ShardRouter:
         if op == "tick":
             _, results, rejects = message
             now = time.monotonic()
-            for ticket, result in results:
-                entry = shard.inflight.pop(ticket, None)
+            for result in results:
+                entry = shard.inflight.pop(result.session_id, None)
                 if entry is None:
                     continue  # session was requeued elsewhere before the kill
                 self.counters["completed"] += 1
@@ -662,9 +610,7 @@ class ShardRouter:
                     self.counters["overflowed"] += 1
                 self._latency.record(now - entry.submitted_at)
                 if not entry.future.done():
-                    # Workers number sessions locally; the router's
-                    # ticket is the service-wide session id clients saw.
-                    entry.future.set_result(replace(result, session_id=ticket))
+                    entry.future.set_result(result)
             for ticket, exc in rejects:
                 entry = shard.inflight.pop(ticket, None)
                 self.counters["rejected"] += 1
@@ -691,7 +637,6 @@ class ShardRouter:
             return
         shard.done = True
         shard.alive = False
-        self._ring.remove(shard.index)
         shard.exited.set()
         # Release the writer thread now: once this shard is replaced by
         # a respawn, close() no longer reaches its outbox.
@@ -710,7 +655,7 @@ class ShardRouter:
         entries = [shard.inflight.pop(t) for t in sorted(shard.inflight)]
         requeued = []
         for entry in entries:
-            requeueable = self.requeue and entry.requeues == 0 and not self._closed
+            requeueable = entry.requeues == 0 and not self._closed
             target = self._pick(entry.ticket) if requeueable else None
             if target is None and not (requeueable and respawning):
                 self._shed(
@@ -749,7 +694,7 @@ class ShardRouter:
         if index in self._respawn_handles:
             return True
         n = self._respawns.get(index, 0)
-        if n >= self.respawn_budget:
+        if n >= RESPAWN_BUDGET:
             if self.tracer is not None:
                 self.tracer.event("respawn_budget_exhausted")
             return False
@@ -764,10 +709,6 @@ class ShardRouter:
         if self._closed:
             return
         self._respawns[index] = self._respawns.get(index, 0) + 1
-        # _spawn re-adds `index` to the ring; its vnode points hash from
-        # the index alone, so the respawned worker reclaims exactly the
-        # ranges it held before dying — minimal remap, pinned by
-        # tests/test_service_shard.py.
         self._spawn(index)
         self.counters["respawns"] += 1
         if self.tracer is not None:

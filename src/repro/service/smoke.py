@@ -270,7 +270,7 @@ def run_chaos(
        has been respawned and answers again (``live_shards`` back to
        full strength, every shard index reporting).
     3. **Proof of service** — a clean second wave through the healed
-       ring; everything must succeed and bit-check.
+       fleet; everything must succeed and bit-check.
 
     The closing invariant over router-exact counters: ``submitted ==
     completed + rejected + shed`` — no session unaccounted for.
@@ -341,7 +341,7 @@ def run_chaos(
                 if recovered:
                     break
                 assert time.monotonic() < deadline, (
-                    f"ring did not heal: live={snapshot['live_shards']}"
+                    f"fleet did not heal: live={snapshot['live_shards']}"
                     f"/{shards}, deaths={snapshot['worker_deaths']}, "
                     f"respawns={snapshot['respawns']} "
                     f"(expected >= {min_deaths})"
@@ -354,7 +354,7 @@ def run_chaos(
                 )
             }})
 
-            # Act 3: a clean wave through the healed ring — respawned
+            # Act 3: a clean wave through the healed fleet — respawned
             # generations re-run none of the plan, so everything must
             # succeed (the retry budget absorbs any residual transient).
             specs2 = _chaos_specs(max(shards * 4, n_sessions // 2), seed0=9500)
@@ -451,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{metrics['respawns']} respawns, "
             f"{metrics['requeued']} requeues, "
             f"{metrics['retries']} client retries, "
-            f"ring healed to {metrics['live_shards']}/{args.shards} shards"
+            f"fleet healed to {metrics['live_shards']}/{args.shards} shards"
         )
         return 0
     metrics = run_smoke(

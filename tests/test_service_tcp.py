@@ -49,7 +49,7 @@ class TestDecodeService:
                 results = await asyncio.gather(
                     *(service.submit(spec) for spec in specs)
                 )
-                snapshot = service.metrics()
+                snapshot = await service.metrics()
             for spec, result in zip(specs, results):
                 reference = run_online_trial(
                     PlanarLattice(spec.d), spec.p, spec.rounds,
@@ -422,9 +422,9 @@ class TestTcpFrontEnd:
 
 @pytest.fixture(params=[0, 1], ids=["in-process", "shards=1"])
 def wave_service(request, monkeypatch):
-    """A live server, in-process or on one shard worker, that counts
-    the tasks its event loop creates and the kind of every message put
-    on a shard outbox."""
+    """A live server, in-process or on shard workers, that counts the
+    tasks its event loop creates and records every message put on a
+    shard outbox as ``(shard index, message)``."""
     counts = {"tasks": 0, "outbox": []}
     init = shard_module._Shard.__init__
 
@@ -434,7 +434,7 @@ def wave_service(request, monkeypatch):
 
         def counted(message, *a, **kw):
             if isinstance(message, tuple):
-                counts["outbox"].append(message[0])
+                counts["outbox"].append((self.index, message))
             put(message, *a, **kw)
 
         self.outbox.put = counted
@@ -475,12 +475,27 @@ class TestWaveFrames:
         for spec, result in zip(specs, results):
             _assert_exact(spec, result)
 
-    @pytest.mark.parametrize("wave_service", [1], indirect=True)
-    def test_a_wave_reaches_the_worker_as_one_submit_message(self, wave_service):
+    @pytest.mark.parametrize("wave_service", [1, 2], indirect=True)
+    def test_a_wave_reaches_the_worker_as_one_submit_message(
+        self, wave_service, request
+    ):
+        """Each worker gets its round-robin share of the wave as one
+        ``submit`` message of ``(ticket, SessionSpec)`` items."""
+        n_shards = request.node.callspec.params["wave_service"]
         (host, port), counts = wave_service
         with ServiceClient(host=host, port=port) as client:
             client.decode_many(_wave(64, seed0=1200))
-        assert counts["outbox"].count("submit") == 1, counts["outbox"]
+        submits = [
+            (index, message[1])
+            for index, message in counts["outbox"]
+            if message[0] == "submit"
+        ]
+        assert sorted(index for index, _ in submits) == list(range(n_shards))
+        for _, items in submits:
+            assert len(items) == 64 // n_shards
+            for ticket, spec in items:
+                assert isinstance(ticket, int)
+                assert isinstance(spec, SessionSpec)
 
     def test_mixed_array_line_answers_every_item(self, wave_service):
         """One array line mixing good specs, a wrong-typed spec, a
