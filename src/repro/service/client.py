@@ -25,7 +25,7 @@ spec, and a resubmitted request reuses its original request id, so a
 retry can never be double-counted against a different response.
 Resubmitted requests carry a ``retry`` field the server counts as the
 client-visible ``retries`` metric.  Terminal errors (``bad-spec``,
-``backpressure``, ``bad-json``) raise immediately — retrying a
+``backpressure``, ``bad-json``, ``internal``) raise immediately — retrying a
 rejected spec cannot succeed, and retrying into backpressure only
 amplifies the overload (shed-and-retry-later is the open-loop
 client's job, not this transport's).

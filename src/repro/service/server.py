@@ -6,7 +6,8 @@ the service together, so its sessions share micro-batches from their
 first round.  Requests carry an ``op`` (default ``decode``) and an
 optional client-chosen ``id`` echoed back on the response.  Each
 request gets its own one-object response line, in *completion* order,
-not request order:
+not request order; the lines queued in one event-loop pass (every
+response one scheduler tick retires) go out in one socket write:
 
 - ``{"op": "decode", "id": 1, "spec": {...}}`` ->
   ``{"id": 1, "ok": true, "result": {...}}`` or
@@ -18,7 +19,8 @@ not request order:
 
 A line that is not JSON, and a line or array item that is not an
 object, gets ``{"id": null, "ok": false, "error": "bad-json", ...}``
-and the connection serves on.  A line longer than
+and the connection serves on.  A decode on a failed or closed service
+gets the terminal error kind ``internal``.  A line longer than
 :data:`~repro.service.session.MAX_LINE_BYTES` (64 KiB) gets one such
 ``bad-json`` error naming the limit, then that connection closes.
 
@@ -67,7 +69,8 @@ def _error(payload_id, error: str, **extra) -> dict:
     return {"id": payload_id, "ok": False, "error": error, **extra}
 
 
-# Wire error kind of a decode's exception; first match wins.
+# Wire error kind of a decode's exception; first match wins, and any
+# other exception (a failed or closed service) is ``internal``.
 _ERROR_KINDS = (
     (Backpressure, "backpressure"),
     (ShardFailure, "shard-failure"),
@@ -77,8 +80,9 @@ _ERROR_KINDS = (
 
 class _Connection:
     """One client connection: a read loop that submits each request
-    line's decodes as one wave, and done callbacks that write each
-    decode's response as its future completes."""
+    line's decodes as one wave, and done callbacks that queue each
+    decode's response line as its future completes.  Lines queued in
+    one event-loop pass go out in one transport write."""
 
     def __init__(
         self,
@@ -94,26 +98,40 @@ class _Connection:
         self.shutdown = shutdown
         self.faults = faults
         self.outstanding: set[asyncio.Future] = set()
+        self._lines: list[bytes] = []
 
     def write(self, payload: dict) -> None:
-        """Queue one response line on the transport.  Never awaits, so
-        the read loop keeps reading while the client is still writing;
-        a closing transport (the client vanished) drops the line."""
-        if not self.writer.is_closing():
-            self.writer.write(
-                json.dumps(payload, separators=(",", ":")).encode() + b"\n"
-            )
+        """Queue one response line."""
+        self._queue(json.dumps(payload, separators=(",", ":")).encode() + b"\n")
+
+    def _queue(self, line: bytes) -> None:
+        """Queue ``line``.  The first line of a pass schedules the flush
+        behind every callback already queued — all the done callbacks
+        of one scheduler tick — so a tick's responses share one write.
+        Never awaits, so the read loop keeps reading while the client
+        is still writing."""
+        if not self._lines:
+            asyncio.get_running_loop().call_soon(self._flush)
+        self._lines.append(line)
+
+    def _flush(self) -> None:
+        """Write every queued line at once; a closing transport (the
+        client vanished) drops them."""
+        lines, self._lines = self._lines, []
+        if lines and not self.writer.is_closing():
+            self.writer.write(b"".join(lines))
 
     def _trace(self, started: float, outcome: str) -> None:
         tracer = self.service.tracer
         if tracer is not None:
-            # Request line receipt to response written, queueing included.
+            # Request line receipt to response queued (written one loop
+            # pass later), service queueing included.
             tracer.add(
                 "server.request", started, tracer.clock() - started, tag=outcome
             )
 
     def _respond(self, payload_id, started: float, future) -> None:
-        """Done callback of one decode future: write its response."""
+        """Done callback of one decode future: queue its response."""
         self.outstanding.discard(future)
         exc = future.exception()
         if exc is None:
@@ -121,12 +139,12 @@ class _Connection:
             if self.faults is not None and self.faults.garble_next():
                 # Chaos: a corrupted frame ahead of the real response —
                 # the client must skip it and still match the result.
-                self.writer.write(b'{"garbled frame\n')
+                self._queue(b'{"garbled frame\n')
             response = {"id": payload_id, "ok": True, "result": future.result().to_payload()}
         else:
-            outcome = next((k for t, k in _ERROR_KINDS if isinstance(exc, t)), None)
-            if outcome is None:
-                raise exc
+            outcome = next(
+                (k for t, k in _ERROR_KINDS if isinstance(exc, t)), "internal"
+            )
             response = _error(payload_id, outcome, detail=str(exc))
         self.write(response)
         self._trace(started, outcome)
@@ -162,6 +180,7 @@ class _Connection:
             # Every admitted decode's response is written before close.
             if self.outstanding:
                 await asyncio.wait(self.outstanding)
+            self._flush()
             self.writer.close()
             # On the shutdown path the loop is about to tear the
             # transport down anyway; awaiting the close handshake there
@@ -230,7 +249,14 @@ class _Connection:
             else:
                 self.write(_error(payload_id, f"unknown-op:{op}"))
         if specs:
-            for payload_id, future in zip(ids, self.service.submit_wave(specs)):
+            try:
+                futures = self.service.submit_wave(specs)
+            except RuntimeError as exc:  # the service failed or closed
+                for payload_id in ids:
+                    self.write(_error(payload_id, "internal", detail=str(exc)))
+                    self._trace(started, "internal")
+                return
+            for payload_id, future in zip(ids, futures):
                 self.outstanding.add(future)
                 future.add_done_callback(
                     functools.partial(self._respond, payload_id, started)

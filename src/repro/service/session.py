@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -233,8 +233,26 @@ class SessionSpec:
         )
 
     def to_payload(self) -> dict:
-        """JSON-safe form (the TCP request body)."""
-        return asdict(self)
+        """JSON-safe form (the TCP request body); never aliases the
+        spec's ``noise_params``."""
+        return {
+            "d": self.d,
+            "p": self.p,
+            "seed": self.seed,
+            "n_rounds": self.n_rounds,
+            "mode": self.mode,
+            "thv": self.thv,
+            "reg_size": self.reg_size,
+            "frequency_hz": self.frequency_hz,
+            "measurement_interval_s": self.measurement_interval_s,
+            "q": self.q,
+            "noise": self.noise,
+            "noise_params": (
+                None if self.noise_params is None else dict(self.noise_params)
+            ),
+            "window": self.window,
+            "commit": self.commit,
+        }
 
     @classmethod
     def from_payload(cls, payload: dict) -> "SessionSpec":
@@ -360,11 +378,22 @@ class SessionResult:
         return self.failed and not self.overflow
 
     def to_payload(self) -> dict:
-        """JSON-safe form (the TCP response body)."""
-        payload = asdict(self)
-        payload["matches"] = [_match_payload(m) for m in self.matches]
-        payload["logical_failed"] = self.logical_failed
-        return payload
+        """JSON-safe form (the TCP response body): the fields in
+        declaration order, then ``logical_failed``."""
+        return {
+            "session_id": self.session_id,
+            "mode": self.mode,
+            "d": self.d,
+            "failed": self.failed,
+            "overflow": self.overflow,
+            "n_rounds": self.n_rounds,
+            "matches": [_match_payload(m) for m in self.matches],
+            "layer_cycles": list(self.layer_cycles),
+            "cycles": self.cycles,
+            "wait_s": self.wait_s,
+            "service_s": self.service_s,
+            "logical_failed": self.logical_failed,
+        }
 
 
 @dataclass

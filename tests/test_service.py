@@ -10,6 +10,9 @@ bit-identical to a standalone ``run_online_trial`` on the same seed
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +34,7 @@ from repro.service import (
     SessionState,
 )
 from repro.service.metrics import ServiceMetrics, _Mean
+from repro.service.session import SessionResult
 from repro.surface_code.lattice import PlanarLattice
 from repro.surface_code.noise import PhenomenologicalNoise
 from repro.surface_code.syndrome import detection_events
@@ -69,7 +73,11 @@ class TestSessionSpec:
             d=5, p=0.02, seed=7, mode="window", window=3, commit=2,
             frequency_hz=None, noise="drift", noise_params={"ramp": 2.5},
         )
-        assert SessionSpec.from_payload(spec.to_payload()) == spec
+        payload = spec.to_payload()
+        assert SessionSpec.from_payload(payload) == spec
+        # A payload never aliases the frozen spec.
+        payload["noise_params"]["ramp"] = 9.0
+        assert spec.noise_params == {"ramp": 2.5}
 
     def test_unknown_payload_fields_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -110,6 +118,73 @@ class TestSessionSpec:
 
     def test_unbounded_reg_accepts_max_layer_budget(self):
         SessionSpec(d=5, p=0.01, seed=1, reg_size=None, n_rounds=63).validate()
+
+
+class TestWirePayload:
+    """``SessionResult.to_payload`` is the TCP response body: its JSON
+    bytes are pinned, so an encoder rewrite cannot reorder, drop or
+    retype a field."""
+
+    GOLDEN = {
+        "online": (
+            SessionSpec(d=5, p=0.02, seed=1, n_rounds=3),
+            '{"session_id":1,"mode":"online","d":5,"failed":false,'
+            '"overflow":false,"n_rounds":3,"matches":['
+            '["boundary",[0,0,1],null,"west"],["pair",[1,3,1],[2,3,1],null],'
+            '["pair",[3,1,2],[3,1,3],null]],"layer_cycles":[6,31,18,6],'
+            '"cycles":61,"wait_s":0.25,"service_s":0.125,'
+            '"logical_failed":false}',
+        ),
+        "overflow": (
+            SessionSpec(
+                d=5, p=0.03, seed=2, n_rounds=8, reg_size=4, frequency_hz=1e7
+            ),
+            '{"session_id":1,"mode":"online","d":5,"failed":true,'
+            '"overflow":true,"n_rounds":5,"matches":['
+            '["pair",[0,0,1],[1,0,1],null],["pair",[0,2,1],[0,3,1],null]],'
+            '"layer_cycles":[6],"cycles":6,"wait_s":0.25,"service_s":0.125,'
+            '"logical_failed":false}',
+        ),
+        "window": (
+            SessionSpec(
+                d=3, p=0.05, seed=5, mode="window", window=2, commit=1,
+                n_rounds=3,
+            ),
+            '{"session_id":1,"mode":"window","d":3,"failed":true,'
+            '"overflow":false,"n_rounds":3,"matches":['
+            '["boundary",[2,0,0],null,"west"],["pair",[0,1,1],[0,1,2],null],'
+            '["boundary",[2,1,1],null,"east"],["boundary",[1,1,2],null,"east"]],'
+            '"layer_cycles":[],"cycles":79,"wait_s":0.25,"service_s":0.125,'
+            '"logical_failed":true}',
+        ),
+    }
+
+    @staticmethod
+    def _result(spec):
+        scheduler = MicroBatchScheduler(SchedulerConfig(max_active=4))
+        session = scheduler.submit(spec)
+        scheduler.run_until_idle()
+        result = session.result
+        result.wait_s, result.service_s = 0.25, 0.125
+        return result
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_wire_bytes(self, case):
+        spec, golden = self.GOLDEN[case]
+        payload = self._result(spec).to_payload()
+        assert json.dumps(payload, separators=(",", ":")) == golden
+
+    def test_result_payload_keys_cover_every_field(self):
+        result = self._result(self.GOLDEN["online"][0])
+        assert set(result.to_payload()) == (
+            {f.name for f in dataclasses.fields(SessionResult)} | {"logical_failed"}
+        )
+
+    def test_spec_payload_keys_cover_every_field(self):
+        spec = SessionSpec(d=5, p=0.01, seed=1)
+        assert set(spec.to_payload()) == {
+            f.name for f in dataclasses.fields(SessionSpec)
+        }
 
 
 def workloads():

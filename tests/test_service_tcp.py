@@ -23,7 +23,13 @@ import pytest
 
 import repro.service.shard as shard_module
 from repro.core.online import run_online_trial
-from repro.service import Backpressure, DecodeService, SchedulerConfig, SessionSpec
+from repro.service import (
+    Backpressure,
+    DecodeService,
+    MicroBatchScheduler,
+    SchedulerConfig,
+    SessionSpec,
+)
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import serve
 from repro.service.session import MAX_LINE_BYTES
@@ -419,13 +425,51 @@ class TestTcpFrontEnd:
         thread.join(timeout=30)
         assert not thread.is_alive()
 
+    def test_failed_service_answers_internal_instead_of_going_silent(
+        self, monkeypatch
+    ):
+        """Once the service has failed (a scheduler step raised), the
+        decode in flight and every later decode get a terminal
+        ``internal`` error promptly — no silent client, no dead handler
+        and no asyncio error in the log."""
+
+        def poisoned_step(self):
+            raise RuntimeError("poisoned step")
+
+        monkeypatch.setattr(MicroBatchScheduler, "step", poisoned_step)
+        config = SchedulerConfig(max_active=4, max_queue=16)
+        with _asyncio_errors() as records:
+            with _live_server(config) as (host, port, _):
+                with _Wire(host, port) as wire:
+                    wire.sock.settimeout(5)
+                    for request_id in (1, 2):
+                        wire.send({
+                            "op": "decode", "id": request_id,
+                            "spec": SessionSpec(d=3, p=0.01, seed=request_id).to_payload(),
+                        })
+                        response = wire.recv()
+                        assert response["id"] == request_id
+                        assert response["ok"] is False
+                        assert response["error"] == "internal"
+                        assert "poisoned step" in response["detail"]
+                    wire.send({"op": "ping", "id": 3})
+                    assert wire.recv() == {"id": 3, "ok": True, "pong": True}
+            gc.collect()
+        assert not records, [r.getMessage() for r in records]
+
 
 @pytest.fixture(params=[0, 1], ids=["in-process", "shards=1"])
 def wave_service(request, monkeypatch):
     """A live server, in-process or on shard workers, that counts the
-    tasks its event loop creates and records every message put on a
-    shard outbox as ``(shard index, message)``."""
-    counts = {"tasks": 0, "outbox": []}
+    tasks its event loop creates and its ``StreamWriter.write`` calls,
+    and records every message put on a shard outbox as ``(shard index,
+    message)``."""
+    counts = {"tasks": 0, "writes": 0, "outbox": []}
+    write = asyncio.StreamWriter.write
+
+    def counting_write(self, data):
+        counts["writes"] += 1
+        write(self, data)
     init = shard_module._Shard.__init__
 
     def counting_init(self, *args, **kwargs):
@@ -447,6 +491,7 @@ def wave_service(request, monkeypatch):
         loop.set_task_factory(factory)
 
     monkeypatch.setattr(shard_module._Shard, "__init__", counting_init)
+    monkeypatch.setattr(asyncio.StreamWriter, "write", counting_write)
     config = SchedulerConfig(max_active=16, max_queue=128)
     with _live_server(config, request.param, on_loop=count_tasks) as live:
         yield live[:2], counts
@@ -472,6 +517,23 @@ class TestWaveFrames:
             results = client.decode_many(specs)
             tasks = counts["tasks"] - before
         assert tasks <= 8, tasks
+        for spec, result in zip(specs, results):
+            _assert_exact(spec, result)
+
+    def test_responses_are_coalesced_per_scheduler_step(self, wave_service):
+        """A wave's responses stay one line per session but share
+        socket writes: at most one write per scheduler step, so fewer
+        writes than sessions."""
+        (host, port), counts = wave_service
+        specs = _wave(64, seed0=1400)
+        with ServiceClient(host=host, port=port) as client:
+            steps = client.metrics()["steps"]
+            writes = counts["writes"]
+            results = client.decode_many(specs)
+            writes = counts["writes"] - writes
+            steps = client.metrics()["steps"] - steps
+        assert writes < len(specs), (writes, steps)
+        assert writes <= steps, (writes, steps)
         for spec, result in zip(specs, results):
             _assert_exact(spec, result)
 
