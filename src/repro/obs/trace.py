@@ -4,8 +4,8 @@ A :class:`Tracer` records **spans** — named, tagged, monotonic-clocked
 timings of one phase of work (an admission wave, a roster build, a
 noise gather, a batch-lane advance, one engine decode, one TCP
 request) — and **events** (supervision lifecycle marks: a worker
-death, a requeue, a shed, a respawn, a heartbeat timeout or deadline
-kill, a dropped malformed frame).  Two retention tiers keep it cheap
+death, a requeue, a shed, a respawn, a heartbeat timeout, a dropped
+malformed frame).  Two retention tiers keep it cheap
 at service rates:
 
 - *aggregates* are always exact: per ``(name, tag)`` the tracer keeps

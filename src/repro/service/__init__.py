@@ -13,9 +13,10 @@ async API plus a JSON-lines TCP front end (``repro-runner serve`` /
 sessions/s with cores by dealing sessions round-robin across worker
 processes that each own a full scheduler, requeueing or shedding a dead
 worker's in-flight sessions; the **supervision layer** (heartbeat
-liveness, exponential-backoff respawn, deterministic fault injection
-via :class:`FaultPlan` — see :mod:`repro.service.faults`) heals the
-fleet after worker crashes and hangs; the **metrics core** tracks per-round
+liveness checked by each shard's reader thread, exponential-backoff
+respawn, deterministic fault injection via :class:`FaultPlan` — see
+:mod:`repro.service.faults`) heals the fleet after worker crashes and
+hangs, with fixed timing and no options; the **metrics core** tracks per-round
 latency percentiles, throughput, drop rate and queue depth, persisted
 through :mod:`repro.experiments.results`.
 

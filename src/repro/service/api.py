@@ -6,9 +6,10 @@
 retires it; :meth:`DecodeService.submit_wave` queues a whole wave (the
 TCP front end in :mod:`repro.service.server` hands it every decode of
 one request line), which then shares its first micro-batch round.  The
-pump yields to the event loop once between steps, so waves arriving
-while a batch is in flight are admitted at the next between-rounds
-boundary — cross-session micro-batching over live traffic.
+pump yields to the event loop between steps, so waves arriving while a
+batch is in flight are admitted at the next between-rounds boundary —
+cross-session micro-batching over live traffic — and a step's responses
+are written before the next step starts.
 
 The scheduler step itself is synchronous CPU work on the loop thread:
 this service scales by *batching* concurrent sessions, not by threading
@@ -35,14 +36,8 @@ class DecodeService:
     :meth:`submit` unchanged — transports decide how to shed.
     """
 
-    def __init__(
-        self,
-        scheduler: MicroBatchScheduler | None = None,
-        config: SchedulerConfig | None = None,
-    ):
-        if scheduler is not None and config is not None:
-            raise ValueError("pass a scheduler or a config, not both")
-        self.scheduler = scheduler or MicroBatchScheduler(config)
+    def __init__(self, config: SchedulerConfig | None = None):
+        self.scheduler = MicroBatchScheduler(config)
         self._waiters: dict[int, asyncio.Future] = {}
         self._wake: asyncio.Event | None = None
         self._pump_task: asyncio.Task | None = None
@@ -173,3 +168,9 @@ class DecodeService:
                 future = self._waiters.pop(session.id, None)
                 if future is not None and not future.done():
                     future.set_result(session.result)
+            if finished:
+                # The results' done callbacks run on the next yield and
+                # schedule the transport's response flush behind it;
+                # yield once more so this step's responses are written
+                # before the next step starts.
+                await asyncio.sleep(0)

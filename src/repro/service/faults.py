@@ -4,8 +4,8 @@ A :class:`FaultPlan` is a seeded, picklable description of *when and
 where* the serving stack misbehaves.  It travels to shard workers with
 the spawn arguments, so a worker injects its own faults from inside —
 no test reaching into process internals — while the supervision layer
-(:class:`~repro.service.shard.ShardRouter` heartbeats, respawn,
-session deadlines) must recover without losing a session.  The chaos
+(:class:`~repro.service.shard.ShardRouter` heartbeats and respawn)
+must recover without losing a session.  The chaos
 invariant, asserted by ``python -m repro.service.smoke --chaos`` and
 ``tests/test_service_chaos.py``: *every admitted session retires or
 sheds with an attributed reason — none lost, none hung.*
@@ -17,7 +17,7 @@ Fault taxonomy (``Fault.kind``):
   goodbye frame, the router sees raw pipe EOF.
 - ``"stall"`` — the worker sleeps ``duration_s`` at ``tick`` without
   reading its pipe or heartbeating: alive-but-hung, the case EOF
-  detection cannot see.  The router's liveness monitor must kill it.
+  detection cannot see.  Its shard's reader thread must kill it.
 - ``"slow"`` — the worker's scheduler sleeps ``duration_s`` before
   each of ``ticks`` consecutive steps starting at ``tick``: degraded
   but live, sessions retire late but nothing should be killed.
@@ -48,6 +48,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+
+from repro.service import shard
 
 __all__ = ["Fault", "FaultPlan", "ServerFaults", "WorkerFaults"]
 
@@ -155,23 +157,18 @@ class FaultPlan:
         object.__setattr__(self, "faults", tuple(self.faults))
 
     @classmethod
-    def seeded(
-        cls,
-        seed: int,
-        n_shards: int,
-        stall_s: float = 1.5,
-        slow_s: float = 0.002,
-    ) -> "FaultPlan":
+    def seeded(cls, seed: int, n_shards: int) -> "FaultPlan":
         """The canonical chaos schedule: one fault of every kind, drawn
         deterministically from ``seed``.
 
         Kinds land on *distinct* shards when ``n_shards`` allows, so an
         early fault never pre-empts a later one on the same process:
         the stall fires early (while traffic is in flight — the
-        liveness monitor must catch it mid-load) and the crash fires
+        liveness check must catch it mid-load) and the crash fires
         later (possibly idle — it must still be detected and
-        respawned).  ``stall_s`` must exceed the router's heartbeat
-        timeout for the stall to be declared a hang.
+        respawned).  The stall outlasts
+        :data:`~repro.service.shard.HEARTBEAT_TIMEOUT_S` by a second,
+        so it is declared a hang.
         """
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
@@ -179,17 +176,19 @@ class FaultPlan:
         shards = list(range(n_shards))
         rng.shuffle(shards)
         pick = lambda i: shards[i % n_shards]
+        stall_s = shard.HEARTBEAT_TIMEOUT_S + 1.0
         faults = (
             Fault("stall", pick(0), rng.randrange(2, 10), duration_s=stall_s),
             Fault("crash", pick(1), rng.randrange(12, 28)),
             Fault("slow", pick(2), rng.randrange(2, 8),
-                  duration_s=slow_s, ticks=rng.randrange(10, 30)),
+                  duration_s=0.002, ticks=rng.randrange(10, 30)),
             Fault("malformed", pick(3), rng.randrange(1, 12)),
             # Short window: long enough to be real, short enough that an
-            # idle worker's silence stays under the monitor's timeout
+            # idle worker's silence (one heartbeat period per dropped
+            # tick, plus one) stays well under the heartbeat timeout
             # (drops during traffic are invisible anyway — results count
             # as liveness).
-            Fault("heartbeat-drop", pick(4), rng.randrange(4, 16), ticks=4),
+            Fault("heartbeat-drop", pick(4), rng.randrange(4, 16), ticks=3),
             Fault("garble", -1, rng.randrange(2, 8)),
         )
         return cls(faults=faults, seed=seed)

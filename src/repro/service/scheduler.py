@@ -71,6 +71,7 @@ __all__ = [
     "Backpressure",
     "MicroBatchScheduler",
     "SchedulerConfig",
+    "TRACE_SAMPLE",
 ]
 
 BATCH_EVENT_CUTOFF = 0.5
@@ -90,6 +91,11 @@ ENGINE_POOL_PER_SHAPE = 256
 """Initial lanes of each shape's batch engine (it grows on demand, so
 this is a pre-allocation hint) and the bound on recycled scalar engines
 kept per shape."""
+
+
+TRACE_SAMPLE = 64
+"""A service tracer keeps one *full* span record per this many spans in
+its ring buffer (aggregates always see every span)."""
 
 
 class Backpressure(RuntimeError):
@@ -112,9 +118,6 @@ class SchedulerConfig:
     phase (<2% on the committed service benchmark, asserted by
     ``benchmarks/bench_service.py``).  Plain dataclass fields, so shard
     worker processes inherit the setting through the pickled config."""
-    trace_sample: int = 64
-    """Keep one *full* span record per this many spans in the tracer's
-    ring buffer (aggregates always see every span)."""
 
     def __post_init__(self) -> None:
         if self.max_active < 1:
@@ -124,10 +127,6 @@ class SchedulerConfig:
         if self.max_idle_shapes < 0:
             raise ValueError(
                 f"max_idle_shapes must be >= 0, got {self.max_idle_shapes}"
-            )
-        if self.trace_sample < 1:
-            raise ValueError(
-                f"trace_sample must be >= 1, got {self.trace_sample}"
             )
 
 
@@ -175,7 +174,7 @@ class MicroBatchScheduler:
         # cover the whole tick.  It shares the scheduler's clock —
         # injectable fakes drive spans deterministically in tests.
         self.tracer = (
-            Tracer(sample_every=self.config.trace_sample, clock=clock)
+            Tracer(sample_every=TRACE_SAMPLE, clock=clock)
             if self.config.trace
             else None
         )

@@ -32,10 +32,9 @@ one full scheduler per worker process) behind the same protocol —
 ``--capacity``/``--max-queue`` then apply per worker, a dead worker's
 unrescued sessions report an extra ``shard-failure`` error kind, and
 the ``metrics`` op returns the cross-shard aggregate.  Dead workers
-are respawned with exponential backoff (``--no-respawn`` disables);
-``--heartbeat-interval`` / ``--session-deadline`` bound how long a
-hung-but-alive worker survives before it is killed and respawned (see
-``docs/SERVING.md`` for the full failure-semantics matrix).
+are respawned with exponential backoff, and a worker silent for five
+heartbeat periods is declared hung, killed and respawned the same way
+(see ``docs/SERVING.md`` for the full failure-semantics matrix).
 
 Observability (all off by default, costing nothing):
 
@@ -43,7 +42,8 @@ Observability (all off by default, costing nothing):
   (``GET /metrics``, :mod:`repro.obs.http`) next to the TCP port;
 - ``--trace FILE`` enables the phase tracer
   (:class:`repro.obs.trace.Tracer`) and writes its sampled span ring
-  as JSON lines to ``FILE`` on shutdown.  With ``--shards`` the file
+  as JSON lines to ``FILE`` on shutdown (one full record per 64 spans;
+  aggregates see every span).  With ``--shards`` the file
   holds the *router-side* ring (per-request spans, shard lifecycle);
   worker-side aggregates still ride every metrics snapshot.
 """
@@ -149,28 +149,6 @@ class _Connection:
         self.write(response)
         self._trace(started, outcome)
 
-    async def _readline_or_shutdown(self) -> bytes:
-        """Next request line, or ``b""`` once shutdown is signalled.
-
-        Racing the read against the shutdown future lets every handler
-        unwind *before* the event loop closes — a connection parked in
-        ``readline`` would otherwise be cancelled at teardown and spray
-        CancelledError tracebacks through the stream callbacks.
-        """
-        read = asyncio.ensure_future(self.reader.readline())
-        await asyncio.wait((read, self.shutdown), return_when=asyncio.FIRST_COMPLETED)
-        if not read.done():
-            read.cancel()
-            return b""
-        try:
-            return read.result()
-        except (ConnectionError, OSError):
-            # An abrupt disconnect (e.g. RST) surfaces here as
-            # ConnectionResetError; treat it as EOF so the handler
-            # unwinds quietly instead of leaving an unretrieved task
-            # exception behind.
-            return b""
-
     async def run(self) -> None:
         try:
             await self._serve_requests()
@@ -191,17 +169,25 @@ class _Connection:
                 except (ConnectionError, OSError):
                     pass
 
+    def stop_reading(self) -> None:
+        """Shutdown: end the read loop at its next ``readline``.  Reading
+        pauses first, so no bytes arrive behind the injected EOF."""
+        self.writer.transport.pause_reading()
+        self.reader.feed_eof()
+
     async def _serve_requests(self) -> None:
-        while True:
+        while not self.shutdown.done():
             try:
-                line = await self._readline_or_shutdown()
+                line = await self.reader.readline()
             except ValueError:  # over MAX_LINE_BYTES: the stream is desynced
                 self.write(_error(
                     None, "bad-json",
                     detail=f"request line exceeds {MAX_LINE_BYTES} bytes",
                 ))
                 return
-            if not line:
+            # After shutdown the line may be a fragment cut by the
+            # injected EOF: never parse it.
+            if not line or self.shutdown.done():
                 break
             line = line.strip()
             if not line:
@@ -272,11 +258,6 @@ async def serve(
     metrics_port: int | None = None,
     metrics_ready=None,
     trace_path=None,
-    respawn: bool = True,
-    respawn_backoff: float = 0.5,
-    heartbeat_interval: float = 1.0,
-    heartbeat_timeout: float | None = None,
-    session_deadline: float | None = None,
     faults=None,
 ) -> None:
     """Run the TCP service until a client sends ``shutdown``.
@@ -287,17 +268,10 @@ async def serve(
     (default) serves from one in-process scheduler; ``shards >= 1``
     serves from that many worker processes behind a
     :class:`~repro.service.shard.ShardRouter` (``config`` then applies
-    per worker).
-
-    Supervision (sharded back end only): ``respawn`` re-forks dead
-    workers with exponential backoff starting at ``respawn_backoff``
-    seconds; ``heartbeat_interval`` (0 disables the liveness layer)
-    and ``heartbeat_timeout`` (default 5x the interval) bound how long
-    a silent worker lives; ``session_deadline`` seconds *per session
-    round* bounds how long one session may sit on a worker before the
-    worker is declared hung.  ``faults`` takes a
-    :class:`~repro.service.faults.FaultPlan` for deterministic chaos
-    injection (``None`` — the default — costs nothing).
+    per worker; its workers are supervised as the router describes).
+    ``faults`` takes a :class:`~repro.service.faults.FaultPlan` for
+    deterministic chaos injection (``None`` — the default — costs
+    nothing).
 
     ``metrics_port`` (0 = ephemeral) additionally serves Prometheus
     text exposition on HTTP ``GET /metrics``; ``metrics_ready``
@@ -309,18 +283,9 @@ async def serve(
     """
     loop = asyncio.get_running_loop()
     shutdown = loop.create_future()
-    connections: set[asyncio.Task] = set()
+    connections: dict[asyncio.Task, _Connection] = {}
     backend = (
-        ShardRouter(
-            n_shards=shards,
-            config=config,
-            respawn=respawn,
-            respawn_backoff_s=respawn_backoff,
-            heartbeat_interval_s=heartbeat_interval,
-            heartbeat_timeout_s=heartbeat_timeout,
-            session_deadline_s=session_deadline,
-            faults=faults,
-        )
+        ShardRouter(n_shards=shards, config=config, faults=faults)
         if shards
         else DecodeService(config=config)
     )
@@ -328,11 +293,12 @@ async def serve(
     async with backend as service:
         async def handler(reader, writer):
             task = asyncio.current_task()
-            connections.add(task)
-            task.add_done_callback(connections.discard)
-            await _Connection(
+            connection = _Connection(
                 service, reader, writer, shutdown, faults=server_faults
-            ).run()
+            )
+            connections[task] = connection
+            task.add_done_callback(connections.pop)
+            await connection.run()
 
         def snapshot_fn():
             # Runs on the HTTP thread: marshal onto the loop.
@@ -355,6 +321,11 @@ async def serve(
                 ready(bound)
             async with server:
                 await shutdown
+                # Every handler unwinds before the event loop closes: one
+                # parked in readline would otherwise be cancelled at
+                # teardown and spray CancelledError tracebacks.
+                for connection in connections.values():
+                    connection.stop_reading()
             # Listener closed.  Explicitly await the connection handlers
             # (each flushes its in-flight pipelined responses in its
             # ``finally``) while the service is still pumping — on Python
@@ -398,29 +369,6 @@ def main(argv: list[str] | None = None) -> int:
         "apply per worker)",
     )
     parser.add_argument(
-        "--respawn", action=argparse.BooleanOptionalAction, default=True,
-        help="with --shards: respawn dead worker processes with "
-        "exponential backoff and replay their rescued sessions "
-        "(--no-respawn restores shed-only recovery)",
-    )
-    parser.add_argument(
-        "--respawn-backoff", type=float, default=0.5, metavar="S",
-        help="with --respawn: initial respawn delay in seconds, "
-        "doubling per consecutive death of the same shard",
-    )
-    parser.add_argument(
-        "--heartbeat-interval", type=float, default=1.0, metavar="S",
-        help="with --shards: worker heartbeat period; a worker silent "
-        "for 5x this (see --shards docs for the timeout) is declared "
-        "hung, killed and respawned (0 disables liveness checking)",
-    )
-    parser.add_argument(
-        "--session-deadline", type=float, default=None, metavar="S",
-        help="with --shards: per-round session deadline — a session "
-        "held longer than S * (rounds + 1) seconds marks its worker "
-        "hung (default: no deadline)",
-    )
-    parser.add_argument(
         "--metrics-port", type=int, default=None, metavar="N",
         help="also serve Prometheus text exposition on HTTP "
         "GET /metrics at this port (0 = ephemeral, printed once bound)",
@@ -430,16 +378,10 @@ def main(argv: list[str] | None = None) -> int:
         help="enable the phase tracer and write its sampled span ring "
         "to FILE as JSON lines on shutdown",
     )
-    parser.add_argument(
-        "--trace-sample", type=int, default=64, metavar="N",
-        help="with --trace: keep one full span record per N spans "
-        "(aggregates always see every span)",
-    )
     args = parser.parse_args(argv)
     config = SchedulerConfig(
         max_active=args.capacity, max_queue=args.max_queue,
         trace=args.trace is not None,
-        trace_sample=args.trace_sample,
     )
 
     def announce(bound):
@@ -463,10 +405,6 @@ def main(argv: list[str] | None = None) -> int:
                 metrics_port=args.metrics_port,
                 metrics_ready=announce_metrics,
                 trace_path=args.trace,
-                respawn=args.respawn,
-                respawn_backoff=args.respawn_backoff,
-                heartbeat_interval=args.heartbeat_interval,
-                session_deadline=args.session_deadline,
             )
         )
     except KeyboardInterrupt:

@@ -37,15 +37,14 @@ async/TCP front end:
   is bit-identical) or — when already requeued once, or when no shard
   survives — **shed** with :class:`ShardFailure`.  Co-tenant shards
   are unaffected: a session is pinned to its shard at admission;
-- a worker that is **alive but hung** is caught by the liveness layer:
-  workers heartbeat over their pipe every ``heartbeat_interval_s`` (any
-  frame counts as liveness — results included) and the router's monitor
-  task kills a worker whose silence exceeds ``heartbeat_timeout_s`` or
-  that holds a session past its size-derived deadline
-  (``session_deadline_s * (rounds + 1)``), funnelling it into the same
-  EOF death path — one recovery path, not two;
-- a dead worker is **respawned** (``respawn``, default on) with
-  exponential backoff under a per-shard restart budget
+- a worker that is **alive but hung** is caught by its own reader
+  thread: workers heartbeat over their pipe every :data:`HEARTBEAT_S`
+  (any frame counts as liveness — results included), and a reader that
+  hears nothing for :data:`HEARTBEAT_TIMEOUT_S` SIGKILLs its worker,
+  funnelling it into the same EOF death path — one recovery path, not
+  two;
+- a dead worker is **respawned** with exponential backoff (from
+  :data:`RESPAWN_BACKOFF_S`) under a per-shard restart budget
   (:data:`RESPAWN_BUDGET`) and takes its turn in the deal again;
   in-flight sessions on survivors never move.  Sessions that could
   not be requeued because no shard survived are parked and replayed
@@ -88,6 +87,7 @@ from repro.obs.hist import LogHistogram
 from repro.obs.trace import Tracer, merge_summaries
 from repro.service.metrics import HIST_FIELDS
 from repro.service.scheduler import (
+    TRACE_SAMPLE,
     Backpressure,
     MicroBatchScheduler,
     SchedulerConfig,
@@ -104,6 +104,18 @@ class ShardFailure(RuntimeError):
 RESPAWN_BUDGET = 5
 """Respawns allowed per shard index before its death becomes terminal."""
 
+RESPAWN_BACKOFF_S = 0.5
+"""Delay before a shard's first respawn; it doubles per prior respawn of
+the same index, capped at 30 s."""
+
+HEARTBEAT_S = 1.0
+"""Worker heartbeat period: between scheduler steps, a live worker sends
+some frame at least this often."""
+
+HEARTBEAT_TIMEOUT_S = 5.0
+"""Silence after which a shard's reader thread declares its worker hung
+and kills it."""
+
 
 # ----------------------------------------------------------------------
 # The worker process
@@ -113,7 +125,7 @@ def _shard_worker(
     config: SchedulerConfig | None,
     index: int = 0,
     faults=None,
-    heartbeat_s: float | None = None,
+    heartbeat_s: float = HEARTBEAT_S,
     generation: int = 0,
 ) -> None:
     """One worker: a full scheduler pumped by messages on ``conn``.
@@ -135,11 +147,11 @@ def _shard_worker(
     reports ``stopped`` and exits; a vanished router (EOF on the pipe)
     exits quietly.
 
-    Liveness: with ``heartbeat_s`` set the idle wait is bounded by it
-    and an ``("hb", tick)`` frame goes out whenever the interval
-    elapses — between steps too, so a busy worker stays visibly alive.
-    The router treats *any* frame as liveness; the explicit heartbeat
-    only matters when the worker has nothing else to say.
+    Liveness: the idle wait is bounded by ``heartbeat_s`` and an
+    ``("hb", tick)`` frame goes out whenever that interval elapses —
+    between steps too, so a busy worker stays visibly alive.  The
+    router treats *any* frame as liveness; the explicit heartbeat only
+    matters when the worker has nothing else to say.
 
     ``faults`` (a :class:`~repro.service.faults.FaultPlan`, ``None`` in
     production) injects this worker's scheduled misbehaviour: a crash
@@ -180,14 +192,12 @@ def _shard_worker(
 
     def heartbeat() -> None:
         nonlocal last_hb
-        if heartbeat_s is None:
-            return
         now = time.monotonic()
         if now - last_hb < heartbeat_s:
             return
         last_hb = now
         if worker_faults is not None and worker_faults.drops_heartbeat(tick):
-            return  # injected silence: the router's monitor sees a gap
+            return  # injected silence: the shard's reader sees a gap
         conn.send(("hb", tick))
 
     try:
@@ -203,10 +213,8 @@ def _shard_worker(
                         time.sleep(fault.duration_s)
                     elif fault.kind == "malformed":
                         conn.send(("bogus", "injected-malformed-frame", tick))
-            idle = not scheduler.pending
-            # Idle wait is bounded by the heartbeat interval (None =
-            # block forever, the heartbeats-off legacy behaviour).
-            if conn.poll(heartbeat_s if idle else 0.0):
+            # Idle wait is bounded by the heartbeat interval.
+            if conn.poll(0.0 if scheduler.pending else heartbeat_s):
                 drain_pipe()
             heartbeat()
             results = []
@@ -260,7 +268,7 @@ class _Shard:
     __slots__ = (
         "index", "process", "conn", "outbox", "inflight",
         "alive", "stopping", "done", "exited", "reader", "writer",
-        "last_seen", "killing", "generation",
+        "generation",
     )
 
     def __init__(self, index: int, process, conn, generation: int = 0):
@@ -275,11 +283,6 @@ class _Shard:
         self.exited: asyncio.Event | None = None  # set on the loop thread
         self.reader: threading.Thread | None = None
         self.writer: threading.Thread | None = None
-        # Liveness: stamped by the reader thread on every frame (a
-        # GIL-atomic float store; the monitor on the loop thread only
-        # reads it).  Any frame counts — results are heartbeats too.
-        self.last_seen = time.monotonic()
-        self.killing = False    # liveness kill already issued
         self.generation = generation  # 0 = first spawn, +1 per respawn
 
 
@@ -297,64 +300,28 @@ class ShardRouter:
     session's decode depends only on its spec (seeded noise stream
     included).
 
-    Supervision knobs (see ``docs/DESIGN.md`` section 12):
-
-    - ``respawn`` (default on): a dead worker is respawned after
-      ``respawn_backoff_s * 2**n`` (n = prior respawns of that index,
-      capped at 30 s) up to :data:`RESPAWN_BUDGET` times per shard,
-      and takes its turn in the round-robin deal again.
-    - ``heartbeat_interval_s`` (default 1.0, ``None``/0 disables):
-      workers heartbeat at this cadence; the monitor task kills a
-      worker silent for ``heartbeat_timeout_s`` (default 5x the
-      interval) — the alive-but-hung case EOF detection cannot see.
-    - ``session_deadline_s`` (default off): additionally kill a worker
-      holding a session in flight longer than
-      ``session_deadline_s * (spec.rounds + 1)`` — the deadline scales
-      with spec size because rounds dominate decode time.
-    - ``faults`` (default ``None``): a deterministic
-      :class:`~repro.service.faults.FaultPlan` forwarded to every
-      worker spawn — chaos testing only, costing one ``is None`` test
-      when off.
+    Supervision has one policy and no options (see ``docs/DESIGN.md``
+    section 12): a dead worker is respawned after
+    ``RESPAWN_BACKOFF_S * 2**n`` (n = prior respawns of that index,
+    capped at 30 s) up to :data:`RESPAWN_BUDGET` times per shard and
+    takes its turn in the round-robin deal again; a worker silent for
+    :data:`HEARTBEAT_TIMEOUT_S` — the alive-but-hung case EOF detection
+    cannot see — is killed by its shard's reader thread and recovered
+    the same way.  ``faults`` (default ``None``) is a deterministic
+    :class:`~repro.service.faults.FaultPlan` forwarded to every worker
+    spawn — chaos testing only, costing one ``is None`` test when off.
     """
 
     def __init__(
         self,
         n_shards: int = 2,
         config: SchedulerConfig | None = None,
-        respawn: bool = True,
-        respawn_backoff_s: float = 0.5,
-        heartbeat_interval_s: float | None = 1.0,
-        heartbeat_timeout_s: float | None = None,
-        session_deadline_s: float | None = None,
         faults=None,
     ):
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        if respawn_backoff_s <= 0:
-            raise ValueError(
-                f"respawn_backoff_s must be > 0, got {respawn_backoff_s}"
-            )
         self.n_shards = n_shards
         self.config = config or SchedulerConfig()
-        self.respawn = respawn
-        self.respawn_backoff_s = respawn_backoff_s
-        # Falsy (None/0) disables the heartbeat layer entirely: workers
-        # block forever when idle and the monitor never arms.
-        self.heartbeat_interval_s = heartbeat_interval_s or None
-        if self.heartbeat_interval_s is not None:
-            self.heartbeat_timeout_s = (
-                heartbeat_timeout_s
-                if heartbeat_timeout_s is not None
-                else 5.0 * self.heartbeat_interval_s
-            )
-            if self.heartbeat_timeout_s <= self.heartbeat_interval_s:
-                raise ValueError(
-                    "heartbeat_timeout_s must exceed heartbeat_interval_s "
-                    f"({self.heartbeat_timeout_s} <= {self.heartbeat_interval_s})"
-                )
-        else:
-            self.heartbeat_timeout_s = None
-        self.session_deadline_s = session_deadline_s
         self.faults = faults
         # fork shares the parent's warm imports (numpy, repro) — orders
         # of magnitude cheaper than spawn; fall back where the platform
@@ -378,7 +345,7 @@ class ShardRouter:
         # shard lifecycle events); workers build their own from the
         # same config and ship aggregates back inside snapshots.
         self.tracer = (
-            Tracer(sample_every=self.config.trace_sample)
+            Tracer(sample_every=TRACE_SAMPLE)
             if self.config.trace
             else None
         )
@@ -393,7 +360,6 @@ class ShardRouter:
         self._respawns: dict[int, int] = {}  # per-index restart count
         self._respawn_handles: dict[int, asyncio.TimerHandle] = {}
         self._parked: list[_Inflight] = []   # awaiting a respawned worker
-        self._monitor_task: asyncio.Task | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -406,8 +372,6 @@ class ShardRouter:
         self._started_at = time.monotonic()
         for index in range(self.n_shards):
             self._spawn(index)
-        if self.heartbeat_timeout_s is not None or self.session_deadline_s is not None:
-            self._monitor_task = self._loop.create_task(self._monitor())
         return self
 
     def _spawn(self, index: int) -> None:
@@ -415,9 +379,11 @@ class ShardRouter:
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_shard_worker,
+            # HEARTBEAT_S travels with the spawn arguments, so a worker
+            # started with "spawn" heartbeats at the router's cadence.
             args=(
                 child_conn, self.config, index, self.faults,
-                self.heartbeat_interval_s, generation,
+                HEARTBEAT_S, generation,
             ),
             name=f"decode-shard-{index}",
             daemon=True,
@@ -449,18 +415,10 @@ class ShardRouter:
             self._closed = True
             return
         self._closed = True
-        # Supervision first: no respawns or liveness kills may race the
-        # teardown below.
+        # Supervision first: no respawn may race the teardown below.
         for handle in self._respawn_handles.values():
             handle.cancel()
         self._respawn_handles.clear()
-        if self._monitor_task is not None:
-            self._monitor_task.cancel()
-            try:
-                await self._monitor_task
-            except asyncio.CancelledError:
-                pass
-            self._monitor_task = None
         # Sessions parked for a respawn that will now never come.
         parked, self._parked = self._parked, []
         for entry in parked:
@@ -511,8 +469,16 @@ class ShardRouter:
     def _read_loop(self, shard: _Shard) -> None:
         try:
             while True:
+                # Any frame is liveness.  Silence past the timeout means
+                # alive but hung: kill the worker, and the EOF that
+                # follows runs the ordinary death path.  A stopping
+                # worker may be quiet while it drains; close() bounds it.
+                if not shard.conn.poll(HEARTBEAT_TIMEOUT_S):
+                    if not shard.stopping:
+                        self._post(self._on_heartbeat_timeout)
+                        shard.process.kill()
+                    continue
                 message = shard.conn.recv()
-                shard.last_seen = time.monotonic()  # any frame is liveness
                 self._post(self._on_message, shard, message)
                 if message[0] == "stopped":
                     break
@@ -624,7 +590,7 @@ class ShardRouter:
         elif op == "crashed":
             self.last_crash = message[1]
         elif op == "hb":
-            pass  # liveness is the reader's last_seen stamp; nothing else
+            pass  # liveness is the reader's poll; nothing else
         else:
             # A frame the protocol does not know (chaos-injected, or a
             # version-skewed worker): drop the frame, keep the shard —
@@ -649,7 +615,7 @@ class ShardRouter:
             if tracer is not None:
                 tracer.event("worker_death")
         respawning = False
-        if died and self.respawn and not self._closed:
+        if died and not self._closed:
             respawning = self._schedule_respawn(shard.index)
         # Shed or requeue the shard's in-flight sessions, oldest first.
         entries = [shard.inflight.pop(t) for t in sorted(shard.inflight)]
@@ -698,7 +664,7 @@ class ShardRouter:
             if self.tracer is not None:
                 self.tracer.event("respawn_budget_exhausted")
             return False
-        delay = min(self.respawn_backoff_s * (2 ** n), 30.0)
+        delay = min(RESPAWN_BACKOFF_S * (2 ** n), 30.0)
         self._respawn_handles[index] = self._loop.call_later(
             delay, self._respawn, index
         )
@@ -735,48 +701,12 @@ class ShardRouter:
         if not entry.future.done():
             entry.future.set_exception(ShardFailure(reason))
 
-    def _deadline_for(self, spec: SessionSpec) -> float:
-        """Per-session deadline, scaled with spec size: rounds dominate
-        a session's decode time, so a d=9 full-distance session gets a
-        10x longer leash than a 0-round one.  Queue wait counts — the
-        deadline bounds client-visible latency, not pure service time."""
-        return self.session_deadline_s * (spec.rounds + 1)
-
-    async def _monitor(self) -> None:
-        """Liveness: kill workers that are alive but hung.
-
-        A worker silent past ``heartbeat_timeout_s`` (no frame of any
-        kind) or holding a session past its deadline gets SIGKILL; the
-        reader thread then sees EOF and the ordinary death path runs —
-        requeue/park plus respawn.  One recovery path, not two.
-        """
-        interval = self.heartbeat_interval_s or 1.0
-        while not self._closed:
-            await asyncio.sleep(interval)
-            if self._closed:
-                return
-            now = time.monotonic()
-            for shard in list(self._shards.values()):
-                if not shard.alive or shard.stopping or shard.killing:
-                    continue
-                reason = None
-                if (
-                    self.heartbeat_timeout_s is not None
-                    and now - shard.last_seen > self.heartbeat_timeout_s
-                ):
-                    reason = "heartbeat_timeout"
-                elif self.session_deadline_s is not None:
-                    for entry in shard.inflight.values():
-                        if now - entry.submitted_at > self._deadline_for(entry.spec):
-                            reason = "deadline_kill"
-                            break
-                if reason is None:
-                    continue
-                shard.killing = True
-                self.counters["heartbeat_timeouts"] += 1
-                if self.tracer is not None:
-                    self.tracer.event(reason)
-                shard.process.kill()
+    def _on_heartbeat_timeout(self) -> None:
+        """A reader thread killed its silent worker: count the liveness
+        kill (the death itself is counted when the EOF arrives)."""
+        self.counters["heartbeat_timeouts"] += 1
+        if self.tracer is not None:
+            self.tracer.event("heartbeat_timeout")
 
     def record_client_retry(self) -> None:
         """A client resubmitted a request it had already sent (its

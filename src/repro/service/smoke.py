@@ -191,8 +191,7 @@ def run_smoke(
     lifecycle failure.
     """
     config = SchedulerConfig(
-        max_active=capacity, max_queue=4 * n_sessions,
-        trace=True, trace_sample=16,
+        max_active=capacity, max_queue=4 * n_sessions, trace=True
     )
     specs = _mixed_specs(n_sessions)
     with _serving(config, shards, trace_path=trace_out) as (
@@ -273,15 +272,18 @@ def run_chaos(
        fleet; everything must succeed and bit-check.
 
     The closing invariant over router-exact counters: ``submitted ==
-    completed + rejected + shed`` — no session unaccounted for.
+    completed + rejected + shed`` — no session unaccounted for.  The
+    fleet runs at the supervision timing every server gets (the
+    constants in :mod:`repro.service.shard`): the stall waits out the
+    full heartbeat timeout.
     ``chaos_out`` writes a JSON-lines transcript (the plan, every
     session outcome, the recovery and final snapshots) for CI triage.
     """
     if shards < 1:
         raise ValueError(f"chaos smoke needs shards >= 1, got {shards}")
     plan = FaultPlan.seeded(seed, shards)
-    # Workers that the plan crashes outright or hangs (stall > the
-    # heartbeat timeout below) must die and respawn; a stall can
+    # Workers that the plan crashes outright or hangs (the stall
+    # outlasts the heartbeat timeout) must die and respawn; a stall can
     # pre-empt a same-shard crash (1-shard plans), hence distinct shards.
     min_deaths = len({
         f.shard for f in plan.faults
@@ -290,14 +292,9 @@ def run_chaos(
     transcript: list[dict] = [{"type": "plan", **plan.to_payload()}]
 
     config = SchedulerConfig(max_active=capacity, max_queue=8 * n_sessions)
-    with _serving(
-        config, shards, faults=plan,
-        # Tight supervision so the chaos resolves in CI time: the 1.5s
-        # stall dwarfs the 0.6s heartbeat timeout, and the session
-        # deadline is a generous backstop.
-        respawn_backoff=0.1, heartbeat_interval=0.1,
-        heartbeat_timeout=0.6, session_deadline=5.0,
-    ) as ((host, port), (metrics_host, metrics_port)):
+    with _serving(config, shards, faults=plan) as (
+        (host, port), (metrics_host, metrics_port)
+    ):
         with ServiceClient(
             host=host, port=port, timeout=60, retries=4, backoff_s=0.05
         ) as client:

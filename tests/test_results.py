@@ -118,7 +118,7 @@ class TestSchemaV3:
         from repro.service.scheduler import MicroBatchScheduler, SchedulerConfig
         from repro.service.session import SessionSpec
 
-        config = SchedulerConfig(trace=traced, trace_sample=4)
+        config = SchedulerConfig(trace=traced)
         scheduler = MicroBatchScheduler(config)
         for seed in range(4):
             scheduler.submit(SessionSpec(d=3, p=0.02, seed=7000 + seed))
@@ -151,7 +151,7 @@ class TestSchemaV3:
         assert obs["hist"]["scheme"] == "log10"
         assert "decode_cycles" in obs["hist"]["fields"]
         assert obs["hist"]["buckets_per_decade"] == 10
-        assert obs["trace"] == {"sample_every": 4, "capacity": 4096}
+        assert obs["trace"] == {"sample_every": 64, "capacity": 4096}
 
     def test_untraced_snapshot_has_no_trace_meta(self, tmp_path):
         snapshot = self._live_snapshot(traced=False)

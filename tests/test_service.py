@@ -676,7 +676,7 @@ class TestTraceNeutrality:
 
     def test_traced_run_bit_identical_to_untraced(self):
         _, plain = self._run()
-        traced_scheduler, traced = self._run(trace=True, trace_sample=1)
+        traced_scheduler, traced = self._run(trace=True)
         for a, b in zip(plain, traced):
             assert a.failed == b.failed
             assert a.overflow == b.overflow

@@ -21,9 +21,21 @@ from __future__ import annotations
 
 import pytest
 
+from repro.service import shard as shard_module
 from repro.service.smoke import run_chaos
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+
+
+@pytest.fixture(autouse=True)
+def _tight_supervision(monkeypatch):
+    """Supervision timing scaled down so the chaos resolves in tier-1
+    time: the seeded stall (the heartbeat timeout plus one second)
+    dwarfs the 0.6 s timeout.  The CI chaos smoke runs the production
+    constants."""
+    monkeypatch.setattr(shard_module, "RESPAWN_BACKOFF_S", 0.1)
+    monkeypatch.setattr(shard_module, "HEARTBEAT_TIMEOUT_S", 0.6)
+    monkeypatch.setattr(shard_module, "HEARTBEAT_S", 0.1)
 
 
 @pytest.mark.parametrize("shards", [2, 4])

@@ -155,13 +155,15 @@ class TestWorkerFailure:
         for i in range(12)
     ]
 
+    @pytest.fixture(autouse=True)
+    def _no_respawn(self, monkeypatch):
+        # A respawn budget of 0 pins shed-on-death: a dead shard stays
+        # dead (see TestSupervision for respawn).
+        monkeypatch.setattr(shard_module, "RESPAWN_BUDGET", 0)
+
     async def _run_with_kill(self, n_shards: int):
-        # respawn=False pins the pre-supervision recovery semantics
-        # (dead shard stays dead; see TestSupervision for respawn).
         config = SchedulerConfig(max_active=16, max_queue=64)
-        async with ShardRouter(
-            n_shards=n_shards, config=config, respawn=False
-        ) as router:
+        async with ShardRouter(n_shards=n_shards, config=config) as router:
             futures = [
                 asyncio.ensure_future(router.submit(spec))
                 for spec in self.KILL_SPECS
@@ -180,7 +182,7 @@ class TestWorkerFailure:
         return results, snapshot, victim_inflight
 
     def test_kill_sheds_instead_of_hanging_and_spares_cotenants(self):
-        """One shard, no respawn: with no survivor to requeue to, the
+        """One shard, respawn budget 0: with no survivor to requeue to, the
         dead worker's in-flight sessions shed promptly instead of
         hanging, and any session that finished first stays
         bit-identical.  The requeue case pins that a surviving
@@ -244,6 +246,10 @@ class TestSupervision:
     the round-robin deal, and replay their rescued sessions
     bit-identically."""
 
+    @pytest.fixture(autouse=True)
+    def _fast_respawn(self, monkeypatch):
+        monkeypatch.setattr(shard_module, "RESPAWN_BACKOFF_S", 0.05)
+
     def test_killed_worker_respawns_rejoins_and_serves(self):
         specs = [
             SessionSpec(d=3, p=0.02, seed=8400 + i, n_rounds=3000)
@@ -252,9 +258,7 @@ class TestSupervision:
 
         async def run():
             config = SchedulerConfig(max_active=16, max_queue=64)
-            async with ShardRouter(
-                n_shards=2, config=config, respawn_backoff_s=0.05
-            ) as router:
+            async with ShardRouter(n_shards=2, config=config) as router:
                 futures = [
                     asyncio.ensure_future(router.submit(s)) for s in specs
                 ]
@@ -308,9 +312,7 @@ class TestSupervision:
 
         async def run():
             config = SchedulerConfig(max_active=16, max_queue=64)
-            async with ShardRouter(
-                n_shards=1, config=config, respawn_backoff_s=0.05
-            ) as router:
+            async with ShardRouter(n_shards=1, config=config) as router:
                 futures = [
                     asyncio.ensure_future(router.submit(s)) for s in specs
                 ]
@@ -330,16 +332,18 @@ class TestSupervision:
 
         asyncio.run(run())
 
-    def test_outage_admissions_stay_on_survivors_after_rejoin(self):
+    def test_outage_admissions_stay_on_survivors_after_rejoin(
+        self, monkeypatch
+    ):
         """Sessions admitted while a shard is down land on survivors and
         *stay there* through the rejoin: placement is fixed at admission,
         so the healed fleet never yanks an in-flight session."""
+        # Slow enough that the outage admissions below land first.
+        monkeypatch.setattr(shard_module, "RESPAWN_BACKOFF_S", 0.4)
 
         async def run():
             config = SchedulerConfig(max_active=32, max_queue=128)
-            async with ShardRouter(
-                n_shards=2, config=config, respawn_backoff_s=0.4
-            ) as router:
+            async with ShardRouter(n_shards=2, config=config) as router:
                 wave1 = [
                     SessionSpec(d=3, p=0.02, seed=8500 + i, n_rounds=3000)
                     for i in range(8)
@@ -378,11 +382,13 @@ class TestSupervision:
 
         asyncio.run(run())
 
-    def test_hung_worker_is_detected_killed_and_respawned(self):
+    def test_hung_worker_is_detected_killed_and_respawned(self, monkeypatch):
         """An alive-but-hung worker (injected stall, longer than the
-        heartbeat timeout) is invisible to EOF detection: the liveness
-        monitor must declare it dead, kill it, and the normal
+        heartbeat timeout) is invisible to EOF detection: its shard's
+        reader thread must declare it dead, kill it, and the normal
         death/respawn path must recover every session."""
+        monkeypatch.setattr(shard_module, "HEARTBEAT_S", 0.1)
+        monkeypatch.setattr(shard_module, "HEARTBEAT_TIMEOUT_S", 0.5)
         plan = FaultPlan(faults=(Fault("stall", 0, 3, duration_s=1.5),))
         specs = [
             SessionSpec(d=3, p=0.02, seed=8650 + i, n_rounds=500)
@@ -392,9 +398,7 @@ class TestSupervision:
         async def run():
             config = SchedulerConfig(max_active=16, max_queue=64)
             async with ShardRouter(
-                n_shards=1, config=config, faults=plan,
-                heartbeat_interval_s=0.1, heartbeat_timeout_s=0.5,
-                respawn_backoff_s=0.05,
+                n_shards=1, config=config, faults=plan
             ) as router:
                 results = await asyncio.wait_for(
                     asyncio.gather(*(router.submit(s) for s in specs)),
@@ -411,6 +415,33 @@ class TestSupervision:
 
         asyncio.run(run())
 
+    def test_idle_worker_with_dropped_heartbeats_is_not_killed(
+        self, monkeypatch
+    ):
+        """The false-positive side of the hang check: an idle worker
+        that skips a couple of heartbeats stays under the timeout, so
+        it survives several timeouts' worth of idling and then decodes
+        exactly."""
+        monkeypatch.setattr(shard_module, "HEARTBEAT_S", 0.1)
+        monkeypatch.setattr(shard_module, "HEARTBEAT_TIMEOUT_S", 0.6)
+        plan = FaultPlan(faults=(Fault("heartbeat-drop", 0, 1, ticks=2),))
+        spec = SessionSpec(d=3, p=0.02, seed=8660)
+
+        async def run():
+            config = SchedulerConfig(max_active=16, max_queue=64)
+            async with ShardRouter(
+                n_shards=1, config=config, faults=plan
+            ) as router:
+                await asyncio.sleep(3 * shard_module.HEARTBEAT_TIMEOUT_S)
+                result = await asyncio.wait_for(router.submit(spec), timeout=60)
+                snapshot = await router.metrics()
+            assert snapshot["heartbeat_timeouts"] == 0
+            assert snapshot["worker_deaths"] == 0
+            assert snapshot["completed"] == 1
+            _assert_matches_reference(spec, result)
+
+        asyncio.run(run())
+
     def test_exhausted_respawn_budget_sheds(self, monkeypatch):
         """RESPAWN_BUDGET=0: the death is terminal — sessions shed with
         an attributed ShardFailure instead of parking forever."""
@@ -418,9 +449,7 @@ class TestSupervision:
 
         async def run():
             config = SchedulerConfig(max_active=16, max_queue=64)
-            async with ShardRouter(
-                n_shards=1, config=config, respawn_backoff_s=0.05,
-            ) as router:
+            async with ShardRouter(n_shards=1, config=config) as router:
                 specs = [
                     SessionSpec(d=3, p=0.02, seed=8750 + i, n_rounds=3000)
                     for i in range(4)

@@ -508,8 +508,8 @@ class TestWaveFrames:
     one request line, one service submission, one pipe message."""
 
     def test_a_wave_costs_a_fixed_handful_of_server_tasks(self, wave_service):
-        """Tasks scale with request lines, not sessions: the connection
-        handler plus one readline task per line."""
+        """Tasks scale with connections, not sessions or lines: the
+        connection handler reads its lines itself."""
         (host, port), counts = wave_service
         specs = _wave(64, seed0=1100)
         before = counts["tasks"]
@@ -536,6 +536,53 @@ class TestWaveFrames:
         assert writes <= steps, (writes, steps)
         for spec, result in zip(specs, results):
             _assert_exact(spec, result)
+
+    def test_in_process_step_responses_are_written_before_the_next_step(
+        self, monkeypatch
+    ):
+        """In-process, every response a scheduler step retires is
+        flushed to the socket before the next step starts — a response
+        never waits behind a further step of decode work."""
+        from repro.service import server as server_module
+
+        events = []
+        step = MicroBatchScheduler.step
+        flush = server_module._Connection._flush
+
+        def logged_step(self):
+            finished = step(self)
+            events.append(("step", len(finished)))
+            return finished
+
+        def logged_flush(self):
+            events.append(("flush", len(self._lines)))
+            flush(self)
+
+        monkeypatch.setattr(MicroBatchScheduler, "step", logged_step)
+        monkeypatch.setattr(server_module._Connection, "_flush", logged_flush)
+        specs = _wave(24, seed0=1500)
+        config = SchedulerConfig(max_active=16, max_queue=128)
+        with _live_server(config) as (host, port, _):
+            with ServiceClient(host=host, port=port) as client:
+                results = client.decode_many(specs)
+        for spec, result in zip(specs, results):
+            _assert_exact(spec, result)
+        retiring = [
+            i for i, (kind, n) in enumerate(events) if kind == "step" and n
+        ]
+        assert retiring, events
+        for i in retiring:
+            following = []
+            for kind, n in events[i + 1:]:
+                if kind == "step":
+                    break
+                following.append(n)
+            else:
+                continue  # the last step: nothing runs after it
+            assert any(following), (
+                f"step {i} retired sessions but the next step ran before "
+                f"their flush: {events}"
+            )
 
     @pytest.mark.parametrize("wave_service", [1, 2], indirect=True)
     def test_a_wave_reaches_the_worker_as_one_submit_message(
