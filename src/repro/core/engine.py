@@ -202,7 +202,6 @@ def _kernel_geometry(lattice: PlanarLattice) -> kernels.Geometry:
         bpacked_t=_packed_boundaries(lattice),
         radix=radix,
         hops_div=1024 * radix,
-        cols=lattice.cols,
     )
 
 

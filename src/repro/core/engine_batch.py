@@ -396,9 +396,12 @@ class QecoolEngineBatch:
                 "empty_layers_fast requires empty, parked, non-draining lanes"
             )
         cost = 1 + self.lattice.rows
-        deltas = kernels.charge_empty(
-            self._cycles, self._popped, self._cycles_at_last_pop, lanes, cost
+        self._cycles[lanes] += cost
+        self._popped[lanes] += 1
+        deltas = (
+            self._cycles[lanes] - self._cycles_at_last_pop[lanes]
         ).tolist()
+        self._cycles_at_last_pop[lanes] = self._cycles[lanes]
         for lane, delta in zip(lanes.tolist(), deltas):
             self._layer_cycles[lane].append(delta)
         dirty = lanes[self._win_dirty[lanes]]
@@ -435,8 +438,8 @@ class QecoolEngineBatch:
             exposed = m - self.thv
             check = cand & (exposed >= 0)
             if check.any():
-                sel = lanes[check]
-                hit = kernels.exposed_any(self._masks, sel, exposed[check])
+                shift = exposed[check].astype(np.uint64)[:, None]
+                hit = ((self._masks[lanes[check]] >> shift) & _ONE).any(axis=1)
                 blocked = np.flatnonzero(check)[hit]
                 cand[blocked] = False
                 out[blocked] = -1
@@ -586,21 +589,32 @@ class QecoolEngineBatch:
             if not can.any():
                 return top
             popping = top[can]
-            costs = self._pop_lanes(popping)
-            self._budget[popping] = 1
             progressed[popping] = True
-            finite = df[popping] != math.inf
-            if finite.any():
-                charged = popping[finite]
-                wf[charged] += costs[finite]
-                crossed = charged[wf[charged] >= df[charged]]
-                if crossed.size:
-                    for lane in crossed.tolist():
-                        self._cursors[lane] = ("top",)
-                    status[crossed] = LANE_SUSPENDED
-                    keep = np.ones(len(top), dtype=bool)
-                    keep[np.isin(top, crossed)] = False
-                    top = top[keep]
+            crossed = self._pop_charged(popping, wf, df, status)
+            if crossed.size:
+                top = top[~np.isin(top, crossed)]
+
+    def _pop_charged(
+        self,
+        popping: np.ndarray,
+        wf: np.ndarray,
+        df: np.ndarray,
+        status: np.ndarray,
+    ) -> np.ndarray:
+        """One charged pop per lane (the Controller's shift action, at
+        the loop top or mid-sweep): shift the Regs, reset the budget,
+        charge the wall, and suspend every lane that crosses its
+        deadline at the Controller top.  Returns the suspended lanes."""
+        costs = self._pop_lanes(popping)
+        self._budget[popping] = 1
+        finite = df[popping] != math.inf
+        charged = popping[finite]
+        wf[charged] += costs[finite]
+        crossed = charged[wf[charged] >= df[charged]]
+        for lane in crossed.tolist():
+            self._cursors[lane] = ("top",)
+        status[crossed] = LANE_SUSPENDED
+        return crossed
 
     def _pop_lanes(self, popping: np.ndarray) -> np.ndarray:
         """Shift every popping lane's Regs down one layer (the scalar
@@ -636,8 +650,7 @@ class QecoolEngineBatch:
             win[:, :, :-1] = win[:, :, 1:]
             win[:, :, -1] = -1
             self._win[dirty] = win
-        active = (self._row_counts[popping] > 0).sum(axis=1)
-        cost = 1 + rows + (cols - 1) * active
+        cost = 1 + self._row_scan_cost(popping)
         self._cycles[popping] += cost
         deltas = (
             self._cycles[popping] - self._cycles_at_last_pop[popping]
@@ -829,7 +842,6 @@ class QecoolEngineBatch:
         the per-action walk.  The mid-sweep shift check runs after every
         depth, batched.
         """
-        rows, cols = self.lattice.rows, self.lattice.cols
         cap = self.capacity
         bmax_full = np.zeros(cap, dtype=np.int64)
         bmax_full[top] = b_max
@@ -841,52 +853,6 @@ class QecoolEngineBatch:
         while b <= max_b and cur.size:
             hitbits = (self._masks[cur] >> np.uint64(b)) & _ONE
             rel, units = np.nonzero(hitbits)
-            if not rel.size:
-                # No hits at this depth anywhere: every lane charges the
-                # bare row scan (deadline-safety per the lump argument
-                # below; an at-risk lane still needs the exact walk).
-                rowcost = (
-                    rows
-                    + (cols - 1) * (self._row_counts[cur] > 0).sum(axis=1)
-                )
-                finite = df[cur] != math.inf
-                at_risk = finite & (
-                    ~self._wall_exact[cur] | (wf[cur] + rowcost >= df[cur])
-                )
-                easy = ~at_risk
-                self._cycles[cur[easy]] += rowcost[easy]
-                fin_easy = easy & finite
-                wf[cur[fin_easy]] += rowcost[fin_easy]
-                dropped = []
-                for pos in np.flatnonzero(at_risk).tolist():
-                    lane = int(cur[pos])
-                    crossed, _ = self._walk_level(
-                        lane, b, int(self._budget[lane]), [], 0, 0, False,
-                        wf, df,
-                    )
-                    if crossed:
-                        cursor = self._cursors[lane]
-                        self._cursors[lane] = cursor + (
-                            int(bmax_full[lane]), b, False,
-                            bool(progressed[lane]),
-                        )
-                        status[lane] = LANE_SUSPENDED
-                        dropped.append(lane)
-                if dropped:
-                    cur = cur[
-                        ~np.isin(cur, np.asarray(dropped, dtype=np.int64))
-                    ]
-                done = bmax_full[cur] <= b
-                if done.any():
-                    finished = cur[done]
-                    bump = self._budget[finished]
-                    self._budget[finished] = np.where(
-                        bump < self.nlimit, bump + 1, 1
-                    )
-                    survivors.extend(finished.tolist())
-                    cur = cur[~done]
-                b += 1
-                continue
             budget = self._budget[cur]
             timeout_cost = 2 * budget + 2
             units = units.astype(np.int64)
@@ -935,9 +901,7 @@ class QecoolEngineBatch:
                             rel[matchable], minlength=len(cur)
                         ) > 0
                     )
-            rowcost = (
-                rows + (cols - 1) * (self._row_counts[cur] > 0).sum(axis=1)
-            )
+            rowcost = self._row_scan_cost(cur)
             lump = rowcost + n_hits * timeout_cost
             finite = df[cur] != math.inf
             # `lump` bounds the level's true charge from above (matches
@@ -988,18 +952,9 @@ class QecoolEngineBatch:
             )
             if pop_now.any():
                 popping = cur[pop_now]
-                costs = self._pop_lanes(popping)
-                self._budget[popping] = 1
                 progressed[popping] = True
-                finite_p = df[popping] != math.inf
-                charged = popping[finite_p]
-                wf[charged] += costs[finite_p]
-                crossed_p = charged[wf[charged] >= df[charged]]
-                for lane in crossed_p.tolist():
-                    self._cursors[lane] = ("top",)
-                    status[lane] = LANE_SUSPENDED
-                exited = popping[~np.isin(popping, crossed_p)]
-                survivors.extend(exited.tolist())
+                crossed = self._pop_charged(popping, wf, df, status)
+                survivors.extend(popping[~np.isin(popping, crossed)].tolist())
                 cur = cur[~pop_now]
             done = bmax_full[cur] <= b
             if done.any():
@@ -1030,67 +985,76 @@ class QecoolEngineBatch:
         progressed: np.ndarray,
     ) -> None:
         """Resolve one base-depth sub-sweep for every deadline-safe lane
-        with matchable hits, without per-action Python.
+        with matchable hits, applying each commit as it is made.
 
-        The sequential conflict scan — a hit consumed as an earlier
-        match's source is skipped, a hit whose pre-raced winner lost
-        its target event re-races against the post-commit state — runs
-        in :func:`repro.core.kernels.commit_scan`, which returns every
-        observable mutation as flat records; this wrapper materialises
-        the match objects (in scan order, so per-lane match order is the
-        scalar one) and applies charges, occupancy updates and Reg bit
-        clears to the slabs in bulk.  Decisions and charges are exactly the scalar
-        ``_sweep`` level's: the pre-race is valid while its target
-        survives (candidates are only ever removed), and the charge
-        total is order-independent because deadline-safe lanes have no
-        mid-level observation points.
+        Hits past the budget always time out (stale entries are lower
+        bounds), so their charges are lumped per lane with the row
+        tokens; only the matchable hits are scanned, lane by lane in
+        unit order (the token's order).  That scan is the conflict
+        structure of the scalar ``_sweep`` level: a hit consumed as an
+        earlier match's source is skipped, and a hit whose pre-raced
+        winner lost its target event re-races against the live
+        post-commit masks (the pre-race stays valid while its target
+        survives: candidates are only ever removed).  Commits go
+        through :meth:`_apply_one`, the exact walk's own commit; a row
+        they empty before the token reaches it costs one cycle instead
+        of a scan.  No commit consumes a timeout hit: a source at the
+        sink's depth lies ``h <= budget`` hops from the sink, so its own
+        winner (and any lower bound of it) is within the budget too,
+        and the hit is matchable.  The charge total is order-independent
+        because deadline-safe lanes have no mid-level observation
+        points.
         """
         cols = self.lattice.cols
-        res = kernels.commit_scan(
-            self._masks, self._win, self._row_counts, self._popped,
-            cur, b, rel, units, entries, hops, matchable, budget,
-            rowcost, self._geo,
-        )
-        cur_l = cur.tolist()
-        matches = self._matches
-        for pos, u, t1, u2, t2, port in zip(
-            res.rec_pos.tolist(), res.rec_u.tolist(), res.rec_t.tolist(),
-            res.rec_u2.tolist(), res.rec_t2.tolist(),
-            res.rec_port.tolist(),
-        ):
-            lane = cur_l[pos]
-            r, c = divmod(u, cols)
-            if u2 < 0:
-                side = (
-                    BOUNDARY_WEST if port == PRIORITY_WEST else BOUNDARY_EAST
-                )
-                matches[lane].append(
-                    _fast_match("boundary", (r, c, t1), None, side)
-                )
-            else:
-                matches[lane].append(
-                    _fast_match(
-                        "pair", (r, c, t1), (u2 // cols, u2 % cols, t2), None
-                    )
-                )
-        for pos, total, l0_dec, any_m in zip(
-            res.g_pos.tolist(), res.g_total.tolist(), res.g_l0.tolist(),
-            res.g_match.tolist(),
-        ):
-            lane = cur_l[pos]
+        radix = self._radix
+        hops_div = self._hops_div
+        masks = self._masks
+        row_counts = self._row_counts
+        bit = 1 << b
+        n_timeout = np.bincount(rel[~matchable], minlength=len(cur)).tolist()
+        rel_l = rel[matchable].tolist()
+        units_l = units[matchable].tolist()
+        entries_l = entries[matchable].tolist()
+        hops_l = hops[matchable].tolist()
+        lo, n = 0, len(rel_l)
+        while lo < n:
+            pos = rel_l[lo]
+            hi = lo
+            while hi < n and rel_l[hi] == pos:
+                hi += 1
+            lane = int(cur[pos])
+            bgt = int(budget[pos])
+            t_cost = 2 * bgt + 2
+            total = int(rowcost[pos]) + n_timeout[pos] * t_cost
+            any_match = False
+            for k in range(lo, hi):
+                u = units_l[k]
+                if not int(masks[lane, u]) & bit:
+                    continue  # consumed as a source earlier this level
+                w, h = entries_l[k], hops_l[k]
+                if not self._still_valid_one(lane, u, b, w):
+                    w = kernels._race_one(masks, lane, u, b, self._geo)
+                    self._win[lane, u, b] = w
+                    h = w // hops_div >> 1
+                    if h > bgt:
+                        total += t_cost
+                        continue
+                any_match = True
+                if self._apply_one(lane, u, b, w):
+                    total += t_cost  # boundary match
+                    continue
+                total += 2 * h + 2
+                src1 = w % radix
+                rc = (src1 - 1) // cols if src1 else u // cols
+                if rc > u // cols and not row_counts[lane, rc]:
+                    total -= cols - 1  # the token will find the row empty
             self._cycles[lane] += total
             if finite[pos]:
                 wf[lane] += total
-            if l0_dec:
-                self._l0[lane] -= l0_dec
-            if any_m:
+            if any_match:
                 level_match[lane] = True
                 progressed[lane] = True
-        for pos, rc in zip(res.fc_pos.tolist(), res.fc_row.tolist()):
-            self._row_counts[cur_l[pos], rc] -= 1
-        if len(res.clear_pos):
-            la = cur[res.clear_pos]
-            self._masks[la, res.clear_unit] &= ~res.clear_bits
+            lo = hi
 
     @staticmethod
     def _split_hits(
@@ -1137,7 +1101,6 @@ class QecoolEngineBatch:
         masks = self._masks
         row_counts = self._row_counts[lane]
         win_row = self._win[lane]
-        radix = self._radix
         hops_div = self._hops_div
         timeout_cost = 2 * budget + 2
         wall = float(wf[lane])
@@ -1195,11 +1158,11 @@ class QecoolEngineBatch:
                                 return suspend(r, pos, True)
                         continue
                     if not self._still_valid_one(lane, idx, b, win):
-                        win = kernels._race_one(self._masks, lane, idx, b, {}, self._geo)
+                        win = kernels._race_one(masks, lane, idx, b, self._geo)
                         win_row[idx, b] = win
                         hops = win // hops_div >> 1
                 else:
-                    win = kernels._race_one(self._masks, lane, idx, b, {}, self._geo)
+                    win = kernels._race_one(masks, lane, idx, b, self._geo)
                     win_row[idx, b] = win
                     self._win_dirty[lane] = True
                     hops = win // hops_div >> 1
@@ -1289,20 +1252,9 @@ class QecoolEngineBatch:
             return True
         if kind == "analytic":
             _, cl_next, target, n_sinks, overhead, b_max = cursor
-            wall = float(wf[lane])
-            deadline = float(df[lane])
-            crossed = False
-            for cl in range(cl_next, target):
-                wall += overhead + n_sinks * (2 * cl + 2)
-                if wall >= deadline:
-                    self._cursors[lane] = (
-                        "analytic", cl + 1, target, n_sinks, overhead, b_max,
-                    )
-                    crossed = True
-                    break
-            wf[lane] = wall
-            self._budget[lane] = target
-            if crossed:
+            if self._analytic_steps(
+                lane, cl_next, target, n_sinks, overhead, b_max, wf, df
+            ):
                 status[lane] = LANE_SUSPENDED
                 return False
             return self._walk_sweep(
@@ -1334,7 +1286,6 @@ class QecoolEngineBatch:
     ) -> bool:
         """Finish one lane's suspended sweep action by action, then hand
         it back to the lock-step loop at the Controller top."""
-        lane_arr = np.asarray([lane], dtype=np.int64)
         progressed = matched
         while b <= b_max:
             if hits is None:
@@ -1363,14 +1314,9 @@ class QecoolEngineBatch:
                 and self._m[lane] > 0
                 and self._l0[lane] == 0
             ):
-                cost = int(self._pop_lanes(lane_arr)[0])
-                self._budget[lane] = 1
-                if df[lane] != math.inf:
-                    wf[lane] += cost
-                    if wf[lane] >= df[lane]:
-                        self._cursors[lane] = ("top",)
-                        status[lane] = LANE_SUSPENDED
-                        return False
+                lane_arr = np.asarray([lane], dtype=np.int64)
+                if self._pop_charged(lane_arr, wf, df, status).size:
+                    return False
                 self._stall[lane] = 0
                 return True
             hits = None

@@ -200,26 +200,6 @@ def run_online_trial(
     )
 
 
-@lru_cache(maxsize=4096)
-def _shot_entropy(seed: int) -> np.random.SeedSequence:
-    """Memoised entropy mixing for integer-seeded shots (~10 us per
-    ``SeedSequence``, a pure function of the seed — the decode service
-    admits one seeded shot per session).  The cached sequence is only
-    ever *read* into a fresh bit generator; it must never be spawned
-    from (spawning mutates the parent's child counter), which is why
-    this stays private to the streaming-shot constructor rather than
-    living in :func:`repro.util.rng.make_rng`.
-    """
-    return np.random.SeedSequence(seed)
-
-
-def _shot_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
-    """The exact ``make_rng`` stream, with integer seeds memoised."""
-    if isinstance(seed, (int, np.integer)):
-        return np.random.Generator(np.random.PCG64(_shot_entropy(int(seed))))
-    return make_rng(seed)
-
-
 @lru_cache(maxsize=512)
 def _rates_table(
     noise: NoiseModel, n_rounds: int
@@ -391,7 +371,7 @@ class StreamingShotState:
         self.lattice = lattice
         self.noise = noise
         self.n_rounds = n_rounds
-        self.rng = _shot_rng(rng)
+        self.rng = make_rng(rng)
         self.block = block
         self.row = block.alloc()
         self.rebind()

@@ -93,6 +93,12 @@ this is a pre-allocation hint) and the bound on recycled scalar engines
 kept per shape."""
 
 
+MAX_IDLE_SHAPES = 8
+"""Fully drained shape groups (state slab, cached lattice, engine
+pools) kept warm for re-admission, least recently drained evicted
+first."""
+
+
 TRACE_SAMPLE = 64
 """A service tracer keeps one *full* span record per this many spans in
 its ring buffer (aggregates always see every span)."""
@@ -109,7 +115,6 @@ class SchedulerConfig:
 
     max_active: int = 256
     max_queue: int = 1024
-    max_idle_shapes: int = 8  # drained shape groups kept warm (LRU)
     trace: bool = False
     """Enable the phase tracer (:class:`repro.obs.trace.Tracer`):
     scheduler tick phases, engine decodes and streaming-round sections
@@ -124,10 +129,6 @@ class SchedulerConfig:
             raise ValueError(f"max_active must be >= 1, got {self.max_active}")
         if self.max_queue < 0:
             raise ValueError(f"max_queue must be >= 0, got {self.max_queue}")
-        if self.max_idle_shapes < 0:
-            raise ValueError(
-                f"max_idle_shapes must be >= 0, got {self.max_idle_shapes}"
-            )
 
 
 class _ShapeGroup:
@@ -190,7 +191,7 @@ class MicroBatchScheduler:
         self._noise_cache: dict[tuple, object] = {}
         self._rate_cache: dict[tuple, float] = {}
         # Insertion-ordered set of shape keys whose groups have fully
-        # drained, oldest first — the LRU over which `max_idle_shapes`
+        # drained, oldest first — the LRU over which `MAX_IDLE_SHAPES`
         # bounds the slabs/lattices/engine pools kept warm.
         self._idle: dict[int, None] = {}
         self._n_active = 0
@@ -454,7 +455,7 @@ class MicroBatchScheduler:
         A long-running service sweeping many distinct ``d`` values
         would otherwise accumulate empty groups — their state slabs,
         cached lattices and engine pools — forever.  Keep the
-        ``max_idle_shapes`` most recently drained shapes warm for
+        ``MAX_IDLE_SHAPES`` most recently drained shapes warm for
         re-admission; evict the rest wholesale (a re-admission simply
         rebuilds the shape from scratch — dispatch state is
         per-session, so eviction never affects decode semantics).
@@ -464,7 +465,7 @@ class MicroBatchScheduler:
                 self._idle.pop(d, None)
             elif d not in self._idle:
                 self._idle[d] = None
-        while len(self._idle) > self.config.max_idle_shapes:
+        while len(self._idle) > MAX_IDLE_SHAPES:
             d = next(iter(self._idle))
             del self._idle[d]
             self._drop_shape(d)

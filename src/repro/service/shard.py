@@ -794,9 +794,17 @@ class ShardRouter:
             ),
             "steps": sum(s["steps"] for s in live),
             "rounds_advanced": sum(s["rounds_advanced"] for s in live),
-            "mean_batch_sessions": wmean(
-                (s["mean_batch_sessions"], s["steps"]) for s in live
+            "throughput_rounds_per_s": (
+                sum(s["rounds_advanced"] for s in live) / elapsed
             ),
+            **{
+                field: wmean((s[field], s["steps"]) for s in live)
+                for field in (
+                    "mean_batch_sessions",
+                    "mean_queue_depth",
+                    "mean_active_sessions",
+                )
+            },
             "mean_wait_s": merged["wait_s"].mean(),
             "mean_service_s": merged["service_s"].mean(),
             "round_latency_s": triple(merged["round_latency_s"]),

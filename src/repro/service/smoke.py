@@ -216,6 +216,7 @@ def run_smoke(
     _assert_valid_exposition(render_exposition(metrics), "metrics-op")
     assert "repro_service_completed_total" in scraped
     assert "repro_service_round_latency_seconds_bucket" in scraped
+    assert "repro_service_throughput_rounds_per_second" in scraped
     trace = metrics.get("trace")
     assert trace is not None and trace["seen"] > 0, "tracer saw no spans"
     assert any(

@@ -198,7 +198,7 @@ def workloads(draw):
     lattice = LATTICES[d]
     thv = draw(st.sampled_from([-1, 3]))
     reg = draw(st.sampled_from([None, 7]))
-    freq = draw(st.sampled_from([None, 2.0e9, 1.0e6]))
+    freq = draw(st.sampled_from([None, 2.0e9, 1.0e6, 2.5e6]))
     n_shots = draw(st.integers(1, 5))
     streams = [stream_strategy(draw, lattice) for _ in range(n_shots)]
     admits = [draw(st.integers(0, 4)) for _ in range(n_shots)]

@@ -23,6 +23,7 @@ import pytest
 
 from repro.core import kernels
 from repro.core.engine import MAX_LAYERS, QecoolEngine
+from repro.core.engine_batch import QecoolEngineBatch
 from repro.surface_code.lattice import PlanarLattice
 
 LATTICES = {d: PlanarLattice(d) for d in (3, 5, 7)}
@@ -125,19 +126,26 @@ def test_winners_bulk_matches_scalar_scan(d, case):
 
 @params
 def test_race_one_sees_pending_clears(d, case):
-    """The commit scan's mid-level re-race, handed the pre-commit slab
-    plus pending clears, must see exactly the post-commit state."""
+    """The commit scan applies each commit's Reg bit clears to the slab
+    before a later hit of its level re-races, so the mid-level re-race
+    on the pre-commit slab with those clears applied in place must see
+    exactly the post-commit state (and the untouched slab the full
+    one)."""
     lanes = _lanes(d, case)
-    masks = _slab([full for full, _, _ in lanes])
+    full_masks = _slab([full for full, _, _ in lanes])
+    masks = full_masks.copy()
     geo = lanes[0][0]._geo
     for lane, (full, cleared, pending) in enumerate(lanes):
+        for u, bits in pending.items():
+            masks[lane, u] &= ~np.uint64(bits)
+        np.testing.assert_array_equal(masks[lane], cleared._masks)
         for idx, b in _sinks(cleared):
             assert kernels._race_one(
-                masks, lane, idx, b, pending, geo
+                masks, lane, idx, b, geo
             ) == cleared._winner_scalar(idx, b)
         for idx, b in _sinks(full)[::5]:
             assert kernels._race_one(
-                masks, lane, idx, b, {}, geo
+                full_masks, lane, idx, b, geo
             ) == full._winner_scalar(idx, b)
 
 
@@ -209,34 +217,57 @@ def test_survey_need_is_exact_minimum(d, case):
 
 @params
 def test_exposed_any_and_charge_empty(d, case):
+    """The batch engine's idle-layer helpers against plain-Python
+    restatements: ``try_push_empty``'s exposed-depth check (any Reg
+    bit at depth ``m - thv`` blocks the absorbed push) and
+    ``empty_layers_fast``'s per-lane charge of one empty layer."""
     lanes = _lanes(d, case)
     engines = [full for full, _, _ in lanes] + [c for _, c, _ in lanes]
-    masks = _slab(engines)
-    rng = np.random.default_rng(d)
+    # Drop the top layer of a full Reg so one more push is legal; the
+    # rest is the state pushing the first `m` rows leaves behind.
+    m = min(case[1], MAX_LAYERS - 1)
+    low = (1 << m) - 1
     sel = np.asarray([3, 0, 2], dtype=np.int64)
-    exposed = rng.integers(0, case[1], len(sel))
-    got = kernels.exposed_any(masks, sel, exposed)
-    assert got.tolist() == [
-        any(m >> int(e) & 1 for m in engines[lane]._mask_ints)
-        for lane, e in zip(sel.tolist(), exposed.tolist())
-    ]
+    for thv in sorted({0, 1, m // 2, m - 1}):
+        batch = QecoolEngineBatch(LATTICES[d], thv=thv, capacity=4)
+        for lane, engine in enumerate(engines):
+            assert batch.alloc_lane() == lane
+            batch._masks[lane] = engine._masks & np.uint64(low)
+            batch._m[lane] = m
+        blocked = [
+            any((mask & low) >> (m - thv) & 1
+                for mask in engines[lane]._mask_ints)
+            for lane in sel.tolist()
+        ]
+        got = batch.try_push_empty(sel)
+        assert got.tolist() == [-1 if b else 1 for b in blocked]
+        assert batch._m[sel].tolist() == [m if b else m + 1 for b in blocked]
+    rng = np.random.default_rng(d)
+    batch = QecoolEngineBatch(LATTICES[d], capacity=8)
+    for _ in range(8):
+        batch.alloc_lane()
     cycles = rng.integers(0, 100, 8).astype(np.int64)
     popped = rng.integers(0, 5, 8).astype(np.int64)
     at_pop = np.minimum(cycles, rng.integers(0, 50, 8)).astype(np.int64)
+    batch._cycles[:] = cycles
+    batch._popped[:] = popped
+    batch._cycles_at_last_pop[:] = at_pop
     want_cycles, want_popped, want_at = (
         cycles.tolist(), popped.tolist(), at_pop.tolist()
     )
+    cost = 1 + LATTICES[d].rows
     lane_ids = [1, 4, 6]
     want_deltas = []
     for lane in lane_ids:
-        want_cycles[lane] += 11
+        want_cycles[lane] += cost
         want_popped[lane] += 1
         want_deltas.append(want_cycles[lane] - want_at[lane])
         want_at[lane] = want_cycles[lane]
-    deltas = kernels.charge_empty(
-        cycles, popped, at_pop, np.asarray(lane_ids, dtype=np.int64), 11
-    )
-    assert deltas.tolist() == want_deltas
-    assert cycles.tolist() == want_cycles
-    assert popped.tolist() == want_popped
-    assert at_pop.tolist() == want_at
+    got = batch.empty_layers_fast(np.asarray(lane_ids, dtype=np.int64))
+    assert got.tolist() == [cost] * len(lane_ids)
+    assert [batch.layer_cycles_of(lane) for lane in lane_ids] == [
+        [delta] for delta in want_deltas
+    ]
+    assert batch._cycles.tolist() == want_cycles
+    assert batch._popped.tolist() == want_popped
+    assert batch._cycles_at_last_pop.tolist() == want_at

@@ -197,7 +197,7 @@ def workloads():
         n_rounds=st.integers(1, 7),
         thv=st.sampled_from([-1, 3]),
         reg_size=st.sampled_from([7, None]),
-        frequency_hz=st.sampled_from([2.0e9, 0.5e9, 1.0e6, None]),
+        frequency_hz=st.sampled_from([2.0e9, 0.5e9, 1.0e6, 2.5e6, None]),
     )
     return st.tuples(
         st.lists(spec, min_size=1, max_size=8),
@@ -326,12 +326,15 @@ class TestSchedulerLifecycle:
         scheduler.run_until_idle()
         assert_session_matches_trial(c)
 
-    def test_drained_shape_groups_are_lru_bounded(self):
-        """Retired shapes must not leak: beyond ``max_idle_shapes`` the
+    def test_drained_shape_groups_are_lru_bounded(self, monkeypatch):
+        """Retired shapes must not leak: beyond ``MAX_IDLE_SHAPES`` the
         oldest drained group — its state slab, cached lattice and engine
         pools — is dropped wholesale."""
+        import repro.service.scheduler as scheduler_module
+
+        monkeypatch.setattr(scheduler_module, "MAX_IDLE_SHAPES", 1)
         scheduler = MicroBatchScheduler(
-            SchedulerConfig(max_active=8, max_queue=64, max_idle_shapes=1)
+            SchedulerConfig(max_active=8, max_queue=64)
         )
         for d in (3, 5, 7):
             scheduler.submit(SessionSpec(d=d, p=0.01, seed=30 + d))

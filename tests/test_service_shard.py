@@ -20,6 +20,7 @@ from repro.service import (
     Backpressure,
     Fault,
     FaultPlan,
+    MicroBatchScheduler,
     SchedulerConfig,
     SessionSpec,
     ShardFailure,
@@ -107,6 +108,35 @@ class TestShardedBitIdentity:
         assert snapshot["live_shards"] == 4
         # Round-robin placement actually spread the population.
         assert sum(1 for s in snapshot["shards"] if s["completed"]) >= 2
+
+    def test_sharded_snapshot_carries_every_in_process_field(self):
+        """``/metrics`` and ``repro-runner stats`` read the same keys
+        whether the service is sharded or not: the router's aggregate
+        holds every key of the in-process snapshot, and the step-means
+        and round throughput are derived, not dropped."""
+        specs = [SessionSpec(d=3, p=0.02, seed=8700 + i) for i in range(6)]
+        scheduler = MicroBatchScheduler(SchedulerConfig())
+        for spec in specs:
+            scheduler.submit(spec)
+        scheduler.run_until_idle()
+        in_process = scheduler.metrics.snapshot()
+
+        async def run():
+            async with ShardRouter(n_shards=1) as router:
+                await asyncio.gather(*(router.submit(spec) for spec in specs))
+                return await router.metrics()
+
+        sharded = asyncio.run(run())
+        assert set(in_process) <= set(sharded)
+        for field in (
+            "throughput_rounds_per_s",
+            "mean_batch_sessions",
+            "mean_queue_depth",
+            "mean_active_sessions",
+        ):
+            assert sharded[field] is not None, field
+        assert sharded["rounds_advanced"] == in_process["rounds_advanced"]
+        assert sharded["throughput_rounds_per_s"] > 0
 
     def test_bad_spec_rejected_at_router(self):
         async def run():
