@@ -24,13 +24,17 @@ doubled problem) polished by an exhaustive-pairwise 2-opt; measured
 against blossom on realistic giant components this lands within ~0-2% of
 the optimal weight (see ``tests/test_mwpm.py``).  Fallback invocations
 are counted on the decoder so experiments can report when it fired.
+
+``networkx`` is imported on the first blossom solve, not with this
+module: importing :mod:`repro.decoders` (as the decode service does)
+never loads it, and only code that actually runs an MWPM decode pays
+for it.
 """
 
 from __future__ import annotations
 
 import itertools
 
-import networkx as nx
 import numpy as np
 
 from repro.decoders.base import (
@@ -141,6 +145,8 @@ def _blossom_component(lattice: PlanarLattice, comp: list[Coord]) -> list[Match]
     if len(comp) == 1:
         _, side = _boundary(lattice, comp[0])
         return [Match("boundary", comp[0], side=side)]
+    import networkx as nx
+
     graph = nx.Graph()
     n = len(comp)
     bd = [_boundary(lattice, d) for d in comp]

@@ -11,6 +11,10 @@ Usage::
 ``--shots`` trades fidelity for runtime; benchmarks use small budgets,
 ``examples/threshold_study.py`` documents publication-scale runs.
 
+Each experiment's generator module is imported only when that
+experiment runs, so ``serve`` (and ``stats``) load none of them, nor
+the ``networkx`` the MWPM baseline needs.
+
 ``--jobs N`` shards every Monte-Carlo point's shot loop across ``N``
 worker processes (see :mod:`repro.experiments.executor`).  For a fixed
 seed the printed numbers are **bit-identical** at any ``--jobs`` value
@@ -55,13 +59,6 @@ import argparse
 import sys
 import time
 
-from repro.experiments.executor import default_adaptive
-from repro.experiments.fig4 import run_fig4a, run_fig4b
-from repro.experiments.fig7 import run_fig7
-from repro.experiments.table3 import run_table3
-from repro.experiments.table4 import run_table4
-from repro.experiments.table5 import run_table5
-from repro.experiments.tables12 import format_table1, format_table2, headline_numbers
 from repro.surface_code.noise import available_noise_models
 
 __all__ = ["main", "run_experiment"]
@@ -90,6 +87,8 @@ def run_experiment(
     under a registered noise family); experiments without a shot loop
     (``tables12``, ``system``) ignore them.
     """
+    from repro.experiments.executor import default_adaptive
+
     if out is None:
         out = sys.stdout
     emit = lambda *parts: print(*parts, file=out)
@@ -98,6 +97,12 @@ def run_experiment(
     if noise:
         emit(f"[noise scenario: {noise} {noise_params or {}}]")
     if name == "tables12":
+        from repro.experiments.tables12 import (
+            format_table1,
+            format_table2,
+            headline_numbers,
+        )
+
         emit("== Table I: SFQ cell library ==")
         for line in format_table1():
             emit(line)
@@ -110,18 +115,26 @@ def run_experiment(
         for key, value in headline_numbers().items():
             emit(f"{key:<22} {value:.4g}")
     elif name == "table3":
+        from repro.experiments.table3 import run_table3
+
         emit("== Table III: per-layer execution cycles ==")
         for row in run_table3(shots=max(10, shots // 5), jobs=jobs, **scenario):
             emit(row.format())
     elif name == "table4":
+        from repro.experiments.table4 import run_table4
+
         emit("== Table IV: decoder thresholds (2-D / 3-D) ==")
         for row in run_table4(shots=shots, jobs=jobs, adaptive=stopping, **scenario):
             emit(row.format())
     elif name == "table5":
+        from repro.experiments.table5 import run_table5
+
         emit("== Table V: AQEC vs QECOOL at d=9, p=0.001 ==")
         for row in run_table5(shots=max(20, shots // 4), jobs=jobs, **scenario):
             emit(row.format())
     elif name == "fig4a":
+        from repro.experiments.fig4 import run_fig4a
+
         emit("== Fig. 4(a): batch-QECOOL vs MWPM error-rate scaling ==")
         result = run_fig4a(shots=shots, jobs=jobs, adaptive=stopping, **scenario)
         for line in result.rows():
@@ -131,6 +144,8 @@ def run_experiment(
             pth = "not in sampled range" if not est.found else f"{100 * est.p_th:.2f}%"
             emit(f"p_th({decoder}) = {pth}")
     elif name == "fig4b":
+        from repro.experiments.fig4 import run_fig4b
+
         emit("== Fig. 4(b): deep vertical match proportion ==")
         for point in run_fig4b(shots=shots, jobs=jobs, adaptive=stopping, **scenario):
             emit(
@@ -139,6 +154,8 @@ def run_experiment(
                 f" ({point.n_deep_vertical}/{point.n_matches})"
             )
     elif name == "fig7":
+        from repro.experiments.fig7 import run_fig7
+
         emit("== Fig. 7: online QEC at 500 MHz / 1 GHz / 2 GHz ==")
         result = run_fig7(shots=shots, jobs=jobs, adaptive=stopping, **scenario)
         for line in result.rows():

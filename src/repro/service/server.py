@@ -56,7 +56,6 @@ import functools
 import json
 import sys
 
-from repro.obs.http import MetricsHTTPServer
 from repro.service.api import DecodeService
 from repro.service.scheduler import Backpressure, SchedulerConfig
 from repro.service.session import MAX_LINE_BYTES, SessionSpec
@@ -307,6 +306,10 @@ async def serve(
 
         metrics_server = None
         if metrics_port is not None:
+            # Imported here so a serve process without --metrics-port
+            # never loads http.server and its dependencies.
+            from repro.obs.http import MetricsHTTPServer
+
             metrics_server = MetricsHTTPServer(
                 snapshot_fn, host=host, port=metrics_port
             ).start()

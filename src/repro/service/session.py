@@ -46,7 +46,9 @@ from repro.surface_code.lattice import PlanarLattice
 from repro.surface_code.noise import NoiseModel
 
 __all__ = [
+    "MAX_D",
     "MAX_LINE_BYTES",
+    "MAX_ROUNDS",
     "DecodeSession",
     "SessionResult",
     "SessionSpec",
@@ -64,6 +66,28 @@ that connection; :meth:`ServiceClient.decode_many
 <repro.service.client.ServiceClient.decode_many>` splits a wave into
 array lines that fit.  One request object encodes to ~250 bytes, so a
 line holds ~260 decodes."""
+
+MAX_D = 31
+"""Largest lattice distance a spec may ask for.
+
+Every distance a service admits builds per-lattice geometry tables,
+cached for the life of the process, that grow with ``N**2`` for
+``N = d * (d - 1)`` ancillas: the int64 pairwise-Manhattan and
+pair-base tables take 8 bytes per ``N**2`` entry each, the int16/uint8
+port and boundary tables ~5 more.  At ``d = 31`` (``N = 930``) each
+int64 table is 6.6 MiB, and one 1-round session in a fresh scheduler
+retains 38 MiB (tracemalloc, batch-engine lane slabs included).  At
+``d = 301`` one int64 table alone is 60.8 GiB, so admission would
+raise ``MemoryError`` inside the shared scheduler tick.  The paper's
+largest distance is 13."""
+
+MAX_ROUNDS = 100_000
+"""Most noisy rounds a spec may ask for.
+
+Time and memory of a session grow linearly with its rounds (a
+30 000-round ``d = 9`` session retains ~4 MiB); the bound keeps one
+request from pinning a lane, and its per-round rate table, without
+end."""
 
 
 @lru_cache(maxsize=256)
@@ -138,12 +162,16 @@ class SessionSpec:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.mode not in ("online", "window"):
             raise ValueError(f"mode must be 'online' or 'window', got {self.mode!r}")
-        if self.d < 3 or self.d % 2 == 0:
-            raise ValueError(f"d must be an odd distance >= 3, got {self.d}")
+        if not 3 <= self.d <= MAX_D or self.d % 2 == 0:
+            raise ValueError(
+                f"d must be an odd distance in [3, {MAX_D}], got {self.d}"
+            )
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must be a probability, got {self.p}")
-        if self.rounds < 1:
-            raise ValueError(f"n_rounds must be >= 1, got {self.rounds}")
+        if not 1 <= self.rounds <= MAX_ROUNDS:
+            raise ValueError(
+                f"n_rounds must be in [1, {MAX_ROUNDS}], got {self.rounds}"
+            )
         if self.thv < -1:
             raise ValueError(f"thv must be >= -1, got {self.thv}")
         if self.reg_size is not None and not 1 <= self.reg_size <= MAX_LAYERS:

@@ -15,7 +15,11 @@ import io
 import pytest
 
 import repro.experiments.ablations as ablations_mod
-import repro.experiments.runner as runner_mod
+import repro.experiments.fig4 as fig4_mod
+import repro.experiments.fig7 as fig7_mod
+import repro.experiments.table3 as table3_mod
+import repro.experiments.table4 as table4_mod
+import repro.experiments.table5 as table5_mod
 from repro.experiments.ablations import (
     ordering_ablation,
     sweep_measurement_noise,
@@ -34,39 +38,42 @@ from repro.experiments.table5 import run_table5
 def light_experiments(monkeypatch):
     """Rebind every heavy generator to a tiny-parameter real run.
 
+    The runner imports each generator inside its dispatch branch, so
+    the stubs are patched onto the generator modules themselves.
+
     Each stub forwards ``**kwargs`` (``jobs``, ``adaptive``, ``noise``,
     ``noise_params``) so the runner's full plumbing — including noise
     scenarios — is exercised against the genuine generators.
     """
     monkeypatch.setattr(
-        runner_mod, "run_fig4a",
+        fig4_mod, "run_fig4a",
         lambda shots, **kw: run_fig4a(shots=4, distances=(3,), ps=(0.05,), **kw),
     )
     monkeypatch.setattr(
-        runner_mod, "run_fig4b",
+        fig4_mod, "run_fig4b",
         lambda shots, **kw: run_fig4b(shots=4, d=3, ps=(0.05,), **kw),
     )
     monkeypatch.setattr(
-        runner_mod, "run_fig7",
+        fig7_mod, "run_fig7",
         lambda shots, **kw: run_fig7(
             shots=3, frequencies=(1e9,), distances=(3,), ps=(0.02,), **kw,
         ),
     )
     monkeypatch.setattr(
-        runner_mod, "run_table3",
+        table3_mod, "run_table3",
         lambda shots, **kw: run_table3(
             shots=2, distances=(3,), ps=(0.01,), rounds_per_shot=3, **kw,
         ),
     )
     monkeypatch.setattr(
-        runner_mod, "run_table4",
+        table4_mod, "run_table4",
         lambda shots, **kw: run_table4(
             shots=8, ps_2d=(0.08, 0.12), distances_2d=(3, 5),
             include_3d=False, **kw,
         ),
     )
     monkeypatch.setattr(
-        runner_mod, "run_table5",
+        table5_mod, "run_table5",
         lambda shots, **kw: run_table5(shots=2, rounds_per_shot=3, **kw),
     )
     monkeypatch.setattr(

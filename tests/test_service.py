@@ -34,7 +34,7 @@ from repro.service import (
     SessionState,
 )
 from repro.service.metrics import ServiceMetrics, _Mean
-from repro.service.session import SessionResult
+from repro.service.session import MAX_D, MAX_ROUNDS, SessionResult
 from repro.surface_code.lattice import PlanarLattice
 from repro.surface_code.noise import PhenomenologicalNoise
 from repro.surface_code.syndrome import detection_events
@@ -110,6 +110,10 @@ class TestSessionSpec:
         dict(frequency_hz=float("inf")), dict(frequency_hz="2e9"),
         dict(measurement_interval_s=float("inf")),
         dict(measurement_interval_s=True),
+        # Memory bounds: per-lattice tables grow with (d(d-1))**2 and a
+        # session's work with its rounds.
+        dict(d=MAX_D + 2), dict(d=301), dict(n_rounds=MAX_ROUNDS + 1),
+        dict(n_rounds=10**7),
     ])
     def test_validation(self, bad):
         spec = SessionSpec(**{"d": 5, "p": 0.01, "seed": 1, **bad})
@@ -118,6 +122,9 @@ class TestSessionSpec:
 
     def test_unbounded_reg_accepts_max_layer_budget(self):
         SessionSpec(d=5, p=0.01, seed=1, reg_size=None, n_rounds=63).validate()
+
+    def test_bounds_are_inclusive(self):
+        SessionSpec(d=MAX_D, p=0.01, seed=1, n_rounds=MAX_ROUNDS).validate()
 
 
 class TestWirePayload:

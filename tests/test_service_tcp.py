@@ -633,6 +633,41 @@ class TestWaveFrames:
         assert retries == 1
 
 
+class TestBoundedSpecs:
+    """Specs past the memory bounds (``MAX_D``, ``MAX_ROUNDS``) are shed
+    as ``bad-spec`` at the transport, never built inside the shared
+    scheduler tick, so the wave they ride in decodes exactly and the
+    service keeps serving."""
+
+    PROBES = {
+        "huge-d": {"d": 301, "p": 0.01, "seed": 1, "n_rounds": 1},
+        "huge-rounds": {"d": 3, "p": 0.01, "seed": 1, "n_rounds": 10**7},
+    }
+
+    @pytest.mark.parametrize("shards", [0, 2], ids=["in-process", "shards=2"])
+    def test_probes_shed_and_co_tenants_decode_exactly(self, shards):
+        co_tenants = _wave(8, seed0=1700)
+        line = [
+            {"op": "decode", "id": name, "spec": spec}
+            for name, spec in self.PROBES.items()
+        ] + [
+            {"op": "decode", "id": i, "spec": spec.to_payload()}
+            for i, spec in enumerate(co_tenants)
+        ]
+        config = SchedulerConfig(max_active=8, max_queue=64)
+        with _live_server(config, shards) as (host, port, _):
+            with _Wire(host, port) as wire:
+                wire.send(line)
+                by_id = {r["id"]: r for r in (wire.recv() for _ in line)}
+            for name in self.PROBES:
+                assert by_id[name]["ok"] is False, by_id[name]
+                assert by_id[name]["error"] == "bad-spec", by_id[name]
+            for i, spec in enumerate(co_tenants):
+                _assert_exact(spec, by_id[i]["result"])
+            # Still serving after the probes.
+            _assert_decodes_exactly(host, port, SessionSpec(d=5, p=0.02, seed=1799))
+
+
 class _ScriptedServer:
     """A hand-rolled JSON-lines endpoint with scripted per-connection
     behaviour — drives the client's resilience paths (mid-pipeline
