@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -42,6 +41,7 @@ from repro.util.rng import make_rng
 
 __all__ = [
     "BATCH_ENGINE_CUTOFF",
+    "NOISE_WINDOW_DOUBLES",
     "OnlineConfig",
     "OnlineOutcome",
     "OnlineShot",
@@ -57,6 +57,14 @@ BATCH_ENGINE_CUTOFF = 2
 """Minimum chunk size for the shot-major batch engine; below it the
 scalar engine's per-shot path is cheaper (single-lane batches pay the
 lock-step machinery without amortising it)."""
+
+NOISE_WINDOW_DOUBLES = 16384
+"""Uniform draws one slab row holds at a time (128 KiB of float64).
+
+A :class:`StreamingBlock` of lattice width ``w = n_data + n_ancillas``
+holds ``max(1, NOISE_WINDOW_DOUBLES // w)`` rounds of noise per row
+(75 at ``d = 9``); a longer stream refills its row from its own
+generator each time its round cursor crosses a window boundary."""
 
 
 @dataclass(frozen=True)
@@ -200,24 +208,6 @@ def run_online_trial(
     )
 
 
-@lru_cache(maxsize=512)
-def _rates_table(
-    noise: NoiseModel, n_rounds: int
-) -> list[tuple[float, float]]:
-    """Python-float (data, measurement) rates per round, memoised.
-
-    One tuple per round so the per-round batch loop never touches numpy
-    scalars; keyed by the (frozen, hashed-by-value) noise model, so
-    every admission of the same operating point shares one table.
-    """
-    return [
-        (float(p_t), float(q_t))
-        for p_t, q_t in zip(
-            noise.data_schedule(n_rounds), noise.meas_schedule(n_rounds)
-        )
-    ]
-
-
 class StreamingBlock:
     """Shot-major state slab shared by a batch of streaming shots.
 
@@ -233,10 +223,13 @@ class StreamingBlock:
       ``finite`` mask so the vector wall arithmetic never multiplies
       into ``inf``), the engine-idle flag ``at_idle`` and the
       consumed-match cursor ``consumed``;
-    - the **pre-drawn noise** rows — ``u[row, t]`` holds round ``t``'s
-      uniform draws and ``pq[row, t]`` its (data, measurement) flip
-      rates, for rows flagged ``has_u`` (streams above the per-shot
-      size bound keep drawing per round instead).
+    - the **noise window** rows — ``u[row, t % noise_window]`` holds
+      round ``t``'s uniform draws and ``pq[row, t % noise_window]`` its
+      (data, measurement) flip rates.  A row holds at most
+      ``noise_window`` rounds (:data:`NOISE_WINDOW_DOUBLES` doubles);
+      a longer stream refills it from the shot's own generator
+      (:meth:`StreamingShotState.refill`) as its cursor crosses each
+      window boundary.
 
     Rows are allocated to shots on admission and recycled on retirement
     (the decode service's scheduler keeps one block per micro-batch
@@ -250,7 +243,7 @@ class StreamingBlock:
     _SLABS = (
         "errors", "prev", "comp",
         "k", "rounds", "wall", "budget", "finite", "at_idle",
-        "consumed", "has_u", "u", "pq",
+        "consumed", "u", "pq",
     )
 
     def __init__(self, lattice: PlanarLattice, capacity: int = 64):
@@ -268,9 +261,10 @@ class StreamingBlock:
         self.finite = np.zeros(capacity, dtype=bool)
         self.at_idle = np.ones(capacity, dtype=bool)
         self.consumed = np.zeros(capacity, dtype=np.int64)
-        self.has_u = np.zeros(capacity, dtype=bool)
-        # Per-round noise slabs, grown along the round axis on demand.
+        # Per-row noise windows, grown along the round axis on demand
+        # up to ``noise_window`` rounds.
         width = lattice.n_data + lattice.n_ancillas
+        self.noise_window = max(1, NOISE_WINDOW_DOUBLES // width)
         self.n_rounds_cap = 0
         self.u = np.zeros((capacity, 0, width), dtype=np.float64)
         self.pq = np.zeros((capacity, 0, 2), dtype=np.float64)
@@ -296,7 +290,6 @@ class StreamingBlock:
         self.finite[row] = False
         self.at_idle[row] = True
         self.consumed[row] = 0
-        self.has_u[row] = False
         return row
 
     def release(self, row: int) -> None:
@@ -304,14 +297,15 @@ class StreamingBlock:
         self._free.append(row)
 
     def ensure_rounds(self, n_rounds: int) -> None:
-        """Grow the per-round noise slabs to cover ``n_rounds`` rounds.
+        """Grow the noise window slabs to cover ``n_rounds`` rounds,
+        never past ``noise_window``.
 
         Unlike :meth:`grow` this reallocation strands no views — the
         noise slabs are only ever indexed.
         """
         if n_rounds <= self.n_rounds_cap:
             return
-        new = max(n_rounds, 2 * self.n_rounds_cap)
+        new = min(max(n_rounds, 2 * self.n_rounds_cap), self.noise_window)
         for name in ("u", "pq"):
             arr = getattr(self, name)
             grown = np.zeros(
@@ -341,7 +335,7 @@ class StreamingShotState:
 
     The plumbing every shot kind needs — the physical error row, the
     previous raw syndrome, the pending correction compensation, the
-    noise substream and its python-float rate table, and the round
+    noise substream and its window of drawn rounds, and the round
     counter.  All of it is **slab-resident**: state lives in one row of
     the :class:`StreamingBlock` the shot is built on (the decode
     service allocates one row per admission; the owner releases it at
@@ -355,7 +349,7 @@ class StreamingShotState:
     __slots__ = (
         "lattice", "noise", "n_rounds", "rng",
         "error", "prev_raw", "compensation", "outcome",
-        "block", "row", "_rates", "owner",
+        "block", "row", "owner",
     )
 
     def __init__(
@@ -378,31 +372,27 @@ class StreamingShotState:
         block.rounds[self.row] = n_rounds
         self.outcome = None
         self.owner = None  # opaque back-reference for schedulers
-        # The whole stream's uniform draws, taken up front in one call
-        # straight into the block's noise slab: numpy fills row-major,
-        # so u[row, k] holds exactly the doubles round k's
-        # `sample_round` would draw — the same stream, one generator
-        # call instead of one per round.  (A shot that stops early —
-        # Reg overflow — leaves its generator past where the per-round
-        # reference would; nothing reads it afterwards.)  Bounded by
-        # *size*, not rounds, so long/large-lattice streams cannot pin
-        # multi-MB slab rows per session (a busy scheduler holds
-        # hundreds of shots); oversize streams draw per round and skip
-        # the vectorized noise gather (``has_u`` stays False).
-        # Drawn into a fresh (n_rounds, width) array — the exact
-        # generator call of the per-round reference, independent of the
-        # slab's round-axis over-allocation — then copied into the slab.
-        width = lattice.n_data + lattice.n_ancillas
-        if n_rounds * width <= 16384:
-            block.ensure_rounds(n_rounds)
-            block.u[self.row, :n_rounds] = self.rng.random((n_rounds, width))
-            block.has_u[self.row] = True
-        try:
-            self._rates = _rates_table(noise, n_rounds)
-        except TypeError:  # an unhashable custom model: build directly
-            self._rates = _rates_table.__wrapped__(noise, n_rounds)
-        if block.has_u[self.row]:
-            block.pq[self.row, :n_rounds] = self._rates
+        self.refill(0)
+
+    def refill(self, k: int) -> None:
+        """Draw rounds ``k`` to ``k + m - 1`` into the row's noise window,
+        ``m = min(noise_window, n_rounds - k)``.
+
+        One generator call straight into the slab: numpy fills
+        row-major, one 64-bit output per double, so ``u[row, t]`` holds
+        exactly the doubles round ``k + t``'s ``sample_round`` would
+        draw — the per-round reference's stream, one call per window
+        instead of one per round.  (A shot that stops early — Reg
+        overflow — leaves its generator past where the reference would;
+        nothing reads it afterwards.)  ``pq`` takes the same rounds of
+        the model's rate schedules.
+        """
+        block, row, n = self.block, self.row, self.n_rounds
+        m = min(block.noise_window, n - k)
+        block.ensure_rounds(m)
+        self.rng.random(out=block.u[row, :m])
+        block.pq[row, :m, 0] = self.noise.data_schedule(n)[k : k + m]
+        block.pq[row, :m, 1] = self.noise.meas_schedule(n)[k : k + m]
 
     @property
     def k(self) -> int:
@@ -867,26 +857,15 @@ def advance_streaming_round(
     errors = block.errors[rows]
     nidx = np.flatnonzero(kk < block.rounds[rows])
     if nidx.size:
-        # Per-round noise, gathered straight from the block's pre-drawn
-        # uniform/rate slabs (rows above the pre-draw size bound fall
-        # back to their own substream, drawn here in round order).
+        # Per-round noise, gathered from the rows' noise windows; a row
+        # whose cursor enters a new window refills it first.
         sel = rows[nidx]
         ksel = kk[nidx]
-        hasu = block.has_u[sel]
-        if hasu.all():
-            uniforms = block.u[sel, ksel]
-            pq = block.pq[sel, ksel]
-        else:
-            uniforms = np.empty((nidx.size, n_data + lattice.n_ancillas))
-            pq = np.empty((nidx.size, 2))
-            hj = np.flatnonzero(hasu)
-            if hj.size:
-                uniforms[hj] = block.u[sel[hj], ksel[hj]]
-                pq[hj] = block.pq[sel[hj], ksel[hj]]
-            for j in np.flatnonzero(~hasu).tolist():
-                shot = shots[int(nidx[j])]
-                shot.rng.random(out=uniforms[j])
-                pq[j] = shot._rates[int(ksel[j])]
+        slot = ksel % block.noise_window
+        for j in np.flatnonzero((slot == 0) & (ksel > 0)).tolist():
+            shots[int(nidx[j])].refill(int(ksel[j]))
+        uniforms = block.u[sel, slot]
+        pq = block.pq[sel, slot]
         data_flips = (uniforms[:, :n_data] < pq[:, 0:1]).view(np.uint8)
         meas_flips = (uniforms[:, n_data:] < pq[:, 1:2]).view(np.uint8)
         errors[nidx] ^= data_flips

@@ -99,6 +99,11 @@ pools) kept warm for re-admission, least recently drained evicted
 first."""
 
 
+_CACHE_BOUND = 1024
+"""Entries at which the per-operating-point noise and event-rate caches
+are cleared: their keys are client-controlled."""
+
+
 TRACE_SAMPLE = 64
 """A service tracer keeps one *full* span record per this many spans in
 its ring buffer (aggregates always see every span)."""
@@ -307,6 +312,8 @@ class MicroBatchScheduler:
             meas = float(noise.meas_schedule(spec.rounds).mean())
             rate = 2 * lattice.n_data * data + 2 * lattice.n_ancillas * meas
             if key is not None:
+                if len(self._rate_cache) >= _CACHE_BOUND:
+                    self._rate_cache.clear()
                 self._rate_cache[key] = rate
         return rate
 
@@ -338,7 +345,7 @@ class MicroBatchScheduler:
                 # Keys are client-controlled; bound the caches so a
                 # long-running service sweeping operating points cannot
                 # grow them without limit.
-                if len(self._noise_cache) >= 1024:
+                if len(self._noise_cache) >= _CACHE_BOUND:
                     self._noise_cache.clear()
                     self._rate_cache.clear()
                 self._noise_cache[noise_key] = noise

@@ -84,10 +84,10 @@ largest distance is 13."""
 MAX_ROUNDS = 100_000
 """Most noisy rounds a spec may ask for.
 
-Time and memory of a session grow linearly with its rounds (a
-30 000-round ``d = 9`` session retains ~4 MiB); the bound keeps one
-request from pinning a lane, and its per-round rate table, without
-end."""
+A session's time, and its ``window``-mode event layers, grow
+linearly with its rounds; its noise takes one bounded window of slab
+row whatever its length.  The bound keeps one request from pinning a
+lane without end."""
 
 
 @lru_cache(maxsize=256)

@@ -69,7 +69,13 @@ CHAOS_ERROR_KINDS = frozenset(
 
 
 def _mixed_specs(n_sessions: int, seed0: int = 4000) -> list[SessionSpec]:
-    """A mixed batch: several distances, both thv settings, both modes."""
+    """A mixed batch: several distances, both thv settings, both modes.
+
+    Every tenth session is a 70-round ``d = 13`` online stream, longer
+    than the 34-round noise window of a d = 13 slab row: the row
+    refills twice mid-stream, so the bit-identity check covers the
+    refill.
+    """
     specs = []
     for i in range(n_sessions):
         d = (3, 5, 7)[i % 3]
@@ -77,6 +83,8 @@ def _mixed_specs(n_sessions: int, seed0: int = 4000) -> list[SessionSpec]:
             specs.append(
                 SessionSpec(d=d, p=0.02, seed=seed0 + i, mode="window", window=4)
             )
+        elif i % 10 == 7:
+            specs.append(SessionSpec(d=13, p=0.02, seed=seed0 + i, n_rounds=70))
         else:
             specs.append(
                 SessionSpec(

@@ -5,8 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core.online as online
 from repro.core.online import OnlineConfig, run_online_trial
 from repro.surface_code.lattice import PlanarLattice
+
+REFILL_WINDOWS = (online.NOISE_WINDOW_DOUBLES, 128)
+"""The default noise window, and one of 2 rounds at d = 5 that a
+5-round stream refills twice."""
 
 
 class TestOnlineConfig:
@@ -111,23 +116,25 @@ class TestOnlineChunk:
     """run_online_chunk must be bit-identical to per-shot trials."""
 
     @pytest.mark.parametrize("freq", [None, 2e9, 0.5e9])
-    def test_chunk_matches_per_shot_trials(self, d5, freq):
+    def test_chunk_matches_per_shot_trials(self, d5, freq, monkeypatch):
         from repro.core.online import run_online_chunk
         from repro.util.rng import substream
 
         config = OnlineConfig(frequency_hz=freq)
         root = np.random.SeedSequence(31)
         rngs = lambda: [substream(root, i) for i in range(12)]
-        chunk = run_online_chunk(d5, 0.04, 5, config, rngs())
         singles = [
             run_online_trial(d5, 0.04, 5, config, rng) for rng in rngs()
         ]
-        for a, b in zip(chunk, singles):
-            assert a.failed == b.failed
-            assert a.overflow == b.overflow
-            assert a.n_rounds == b.n_rounds
-            assert a.matches == b.matches
-            assert a.layer_cycles == b.layer_cycles
+        for window_doubles in REFILL_WINDOWS:
+            monkeypatch.setattr(online, "NOISE_WINDOW_DOUBLES", window_doubles)
+            chunk = run_online_chunk(d5, 0.04, 5, config, rngs())
+            for a, b in zip(chunk, singles):
+                assert a.failed == b.failed
+                assert a.overflow == b.overflow
+                assert a.n_rounds == b.n_rounds
+                assert a.matches == b.matches
+                assert a.layer_cycles == b.layer_cycles
 
     def test_chunk_overflow_paths_match(self):
         """A starved clock overflows some shots; the batch must drop
@@ -150,7 +157,7 @@ class TestOnlineChunk:
             )
             assert a.matches == b.matches
 
-    def test_chunk_with_noise_model(self, d5):
+    def test_chunk_with_noise_model(self, d5, monkeypatch):
         from repro.core.online import run_online_chunk
         from repro.surface_code.noise import get_noise
         from repro.util.rng import substream
@@ -158,10 +165,50 @@ class TestOnlineChunk:
         noise = get_noise("drift", p=0.03, ramp=3.0)
         root = np.random.SeedSequence(13)
         rngs = lambda: [substream(root, i) for i in range(8)]
-        chunk = run_online_chunk(d5, noise, 5, OnlineConfig(), rngs())
         singles = [
             run_online_trial(d5, noise, 5, OnlineConfig(), rng) for rng in rngs()
         ]
-        for a, b in zip(chunk, singles):
-            assert a.matches == b.matches
-            assert a.failed == b.failed
+        for window_doubles in REFILL_WINDOWS:
+            monkeypatch.setattr(online, "NOISE_WINDOW_DOUBLES", window_doubles)
+            chunk = run_online_chunk(d5, noise, 5, OnlineConfig(), rngs())
+            for a, b in zip(chunk, singles):
+                assert a.matches == b.matches
+                assert a.failed == b.failed
+
+
+class TestNoiseWindow:
+    def test_long_streams_retain_nothing_after_release(self):
+        """Shots of distinct lengths near ``MAX_ROUNDS`` leave no memory
+        behind once released: a slab row holds one window of noise,
+        refilled from the shot's own generator, and nothing is cached
+        per ``(noise, n_rounds)``."""
+        import gc
+        import tracemalloc
+
+        from repro.core.online import StreamingBlock, StreamingShotState
+        from repro.service.session import MAX_ROUNDS
+        from repro.surface_code.noise import get_noise
+
+        lattice = PlanarLattice(3)
+        noise = get_noise("drift", p=0.0123, ramp=1.5)
+        block = StreamingBlock(lattice, capacity=1)
+
+        def build_and_release(n_rounds):
+            shot = StreamingShotState(lattice, noise, n_rounds, n_rounds, block)
+            block.release(shot.row)
+
+        build_and_release(MAX_ROUNDS)  # size the block's window slabs
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            retained = []
+            for n_rounds in range(MAX_ROUNDS - 1, MAX_ROUNDS - 6, -1):
+                build_and_release(n_rounds)
+                gc.collect()
+                retained.append(tracemalloc.get_traced_memory()[0] - before)
+        finally:
+            tracemalloc.stop()
+        # A per-round table for one such length would be ~10 MiB.
+        assert retained[-1] - retained[0] < 256 * 1024, retained
+        assert retained[-1] < 1 << 20, retained

@@ -4,8 +4,8 @@ The load-bearing contract is **scheduler bit-identity**: whatever the
 admission order, capacity, queueing and co-tenants, every online
 session's match stream, correction stream and cycle accounting is
 bit-identical to a standalone ``run_online_trial`` on the same seed
-(property-tested across d in {3,5,7} and thv in {-1,3} below; see
-``tests/README.md``).
+(property-tested across d in {3,5,7}, thv in {-1,3}, both modes and
+a refill-forcing noise window below; see ``tests/README.md``).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.online as online_module
 from repro.core.online import (
     OnlineShot,
     StreamingBlock,
@@ -26,6 +27,7 @@ from repro.core.online import (
     run_online_trial,
 )
 from repro.core.window import SlidingWindowDecoder
+from repro.experiments.montecarlo import resolve_noise
 from repro.service import (
     Backpressure,
     MicroBatchScheduler,
@@ -36,17 +38,43 @@ from repro.service import (
 from repro.service.metrics import ServiceMetrics, _Mean
 from repro.service.session import MAX_D, MAX_ROUNDS, SessionResult
 from repro.surface_code.lattice import PlanarLattice
+from repro.surface_code.logical import logical_failure
 from repro.surface_code.noise import PhenomenologicalNoise
 from repro.surface_code.syndrome import detection_events
 from repro.util.rng import make_rng
 
 
+def spec_noise(spec: SessionSpec):
+    """The noise model a session's spec resolves to."""
+    return resolve_noise(
+        spec.noise, "phenomenological", spec.p,
+        q=spec.q, noise_params=spec.noise_params,
+    )
+
+
 def reference_trial(spec: SessionSpec):
     """The standalone decode a session must reproduce bit for bit."""
     return run_online_trial(
-        PlanarLattice(spec.d), spec.p, spec.rounds, spec.online_config(),
-        rng=spec.seed, q=spec.q,
+        PlanarLattice(spec.d), spec_noise(spec), spec.rounds,
+        spec.online_config(), rng=spec.seed,
     )
+
+
+def window_reference(spec: SessionSpec):
+    """Direct sliding-window decode on the session's noise stream."""
+    lattice = PlanarLattice(spec.d)
+    noise = spec_noise(spec)
+    rng = make_rng(spec.seed)
+    error = np.zeros(lattice.n_data, dtype=np.uint8)
+    measured = np.empty((spec.rounds + 1, lattice.n_ancillas), dtype=np.uint8)
+    for t in range(spec.rounds):
+        data, meas = noise.sample_round(lattice, rng, t=t, n_rounds=spec.rounds)
+        error ^= data
+        measured[t] = lattice.syndrome_of(error) ^ meas
+    measured[spec.rounds] = lattice.syndrome_of(error)
+    decoder = SlidingWindowDecoder(window=spec.window, commit=spec.commit)
+    result = decoder.decode(lattice, detection_events(measured))
+    return result, error
 
 
 def assert_session_matches_trial(session):
@@ -58,6 +86,20 @@ def assert_session_matches_trial(session):
     assert result.n_rounds == reference.n_rounds
     assert result.matches == reference.matches
     assert result.layer_cycles == list(reference.layer_cycles)
+
+
+def assert_session_matches_reference(session):
+    """Either mode: an online session against its standalone trial, a
+    window session against a direct decode of the same stream."""
+    if session.spec.mode == "online":
+        assert_session_matches_trial(session)
+        return
+    reference, final_error = window_reference(session.spec)
+    assert session.result.matches == reference.matches
+    assert session.result.cycles == reference.cycles
+    assert session.result.failed == logical_failure(
+        PlanarLattice(session.spec.d), final_error, reference.correction
+    )
 
 
 class TestSessionSpec:
@@ -194,44 +236,62 @@ class TestWirePayload:
         }
 
 
+REFILL_WINDOW_DOUBLES = 128
+"""A noise window of 6, 2 and 1 rounds at d = 3, 5 and 7: 1-7-round
+sessions then refill their slab rows mid-stream."""
+
+
 def workloads():
-    """Mixed-shape session workloads with arbitrary admission pacing."""
+    """Mixed-shape, mixed-mode session workloads with arbitrary
+    admission pacing, at the default or a refill-forcing noise window."""
     spec = st.builds(
         SessionSpec,
         d=st.sampled_from([3, 5, 7]),
         p=st.sampled_from([0.0, 0.01, 0.03, 0.08]),
         seed=st.integers(0, 2**31 - 1),
         n_rounds=st.integers(1, 7),
+        mode=st.sampled_from(["online", "online", "window"]),
         thv=st.sampled_from([-1, 3]),
         reg_size=st.sampled_from([7, None]),
         frequency_hz=st.sampled_from([2.0e9, 0.5e9, 1.0e6, 2.5e6, None]),
+        # Drift rates change every round, so a refill must take the
+        # schedule at the right offset.
+        noise=st.sampled_from([None, "drift"]),
+        window=st.integers(1, 4),
     )
     return st.tuples(
         st.lists(spec, min_size=1, max_size=8),
         st.integers(1, 8),                      # max_active
         st.lists(st.integers(0, 3), min_size=8, max_size=8),  # steps between submits
+        st.sampled_from([None, REFILL_WINDOW_DOUBLES]),  # noise window
     )
 
 
 class TestSchedulerBitIdentity:
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=24, deadline=None)
     @given(workloads())
     def test_any_admission_order_matches_standalone_trials(self, workload):
         """The acceptance contract: arbitrary specs, capacities and
-        admission pacing; every session == its standalone trial."""
-        specs, max_active, gaps = workload
-        scheduler = MicroBatchScheduler(
-            SchedulerConfig(max_active=max_active, max_queue=64)
-        )
-        sessions = []
-        for spec, gap in zip(specs, gaps):
-            sessions.append(scheduler.submit(spec))
-            for _ in range(gap):
-                scheduler.step()
-        scheduler.run_until_idle()
+        admission pacing, with and without mid-stream noise refills;
+        every session == its standalone reference."""
+        specs, max_active, gaps, window_doubles = workload
+        with pytest.MonkeyPatch.context() as mp:
+            if window_doubles is not None:
+                mp.setattr(
+                    online_module, "NOISE_WINDOW_DOUBLES", window_doubles
+                )
+            scheduler = MicroBatchScheduler(
+                SchedulerConfig(max_active=max_active, max_queue=64)
+            )
+            sessions = []
+            for spec, gap in zip(specs, gaps):
+                sessions.append(scheduler.submit(spec))
+                for _ in range(gap):
+                    scheduler.step()
+            scheduler.run_until_idle()
         for session in sessions:
             assert session.state is SessionState.DONE
-            assert_session_matches_trial(session)
+            assert_session_matches_reference(session)
 
     def test_staggered_rounds_share_one_batch(self):
         """Sessions admitted mid-flight join batches whose members sit
@@ -369,6 +429,22 @@ class TestSchedulerLifecycle:
         scheduler.run_until_idle()
         assert_session_matches_trial(long_lived)
 
+    def test_event_rate_cache_is_bounded_at_one_operating_point(self):
+        """Distinct ``n_rounds`` at one operating point add event-rate
+        entries without adding noise-cache entries; the rate cache must
+        still stay within the noise cache's bound."""
+        import repro.service.scheduler as scheduler_module
+
+        scheduler = MicroBatchScheduler()
+        lattice = PlanarLattice(3)
+        noise = PhenomenologicalNoise(0.01)
+        noise_key = ("phenomenological", 0.01, None, None)
+        bound = scheduler_module._CACHE_BOUND
+        for rounds in range(1, 3 * bound):
+            spec = SessionSpec(d=3, p=0.01, seed=1, n_rounds=rounds)
+            scheduler._events_per_round(noise, noise_key, spec, lattice)
+        assert 0 < len(scheduler._rate_cache) <= bound
+
     def test_capacity_bounds_active_sessions(self):
         scheduler = MicroBatchScheduler(SchedulerConfig(max_active=2, max_queue=64))
         for i in range(6):
@@ -422,36 +498,12 @@ class TestSchedulerLifecycle:
 
 
 class TestWindowSessions:
-    def window_reference(self, spec: SessionSpec):
-        """Direct sliding-window decode on the session's noise stream."""
-        lattice = PlanarLattice(spec.d)
-        noise = PhenomenologicalNoise(spec.p, spec.q)
-        rng = make_rng(spec.seed)
-        error = np.zeros(lattice.n_data, dtype=np.uint8)
-        measured = np.empty((spec.rounds + 1, lattice.n_ancillas), dtype=np.uint8)
-        for t in range(spec.rounds):
-            data, meas = noise.sample_round(lattice, rng, t=t, n_rounds=spec.rounds)
-            error ^= data
-            measured[t] = lattice.syndrome_of(error) ^ meas
-        measured[spec.rounds] = lattice.syndrome_of(error)
-        decoder = SlidingWindowDecoder(window=spec.window, commit=spec.commit)
-        result = decoder.decode(lattice, detection_events(measured))
-        return result, error
-
     def test_window_session_equals_direct_decode(self):
         spec = SessionSpec(d=5, p=0.03, seed=21, mode="window", window=4, commit=2)
         scheduler = MicroBatchScheduler(SchedulerConfig(max_active=4))
         session = scheduler.submit(spec)
         scheduler.run_until_idle()
-        reference, final_error = self.window_reference(spec)
-        assert session.result.matches == reference.matches
-        assert session.result.cycles == reference.cycles
-        from repro.surface_code.logical import logical_failure
-
-        lattice = PlanarLattice(spec.d)
-        assert session.result.failed == logical_failure(
-            lattice, final_error, reference.correction
-        )
+        assert_session_matches_reference(session)
 
     def test_window_and_online_interleave_in_one_batch(self):
         """The satellite contract: window and online sessions of one
@@ -475,8 +527,7 @@ class TestWindowSessions:
         for session in online:
             assert_session_matches_trial(session)
         for session in windowed:
-            reference, _ = self.window_reference(session.spec)
-            assert session.result.matches == reference.matches
+            assert_session_matches_reference(session)
 
     def test_window_sessions_report_no_overflow(self):
         spec = SessionSpec(d=3, p=0.05, seed=9, mode="window")
