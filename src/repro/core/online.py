@@ -384,15 +384,15 @@ class StreamingShotState:
         draw — the per-round reference's stream, one call per window
         instead of one per round.  (A shot that stops early — Reg
         overflow — leaves its generator past where the reference would;
-        nothing reads it afterwards.)  ``pq`` takes the same rounds of
-        the model's rate schedules.
+        nothing reads it afterwards.)  ``pq`` takes the model's rates
+        of the same rounds, asked for by window, so a refill costs its
+        window whatever ``n_rounds`` is.
         """
         block, row, n = self.block, self.row, self.n_rounds
         m = min(block.noise_window, n - k)
         block.ensure_rounds(m)
         self.rng.random(out=block.u[row, :m])
-        block.pq[row, :m, 0] = self.noise.data_schedule(n)[k : k + m]
-        block.pq[row, :m, 1] = self.noise.meas_schedule(n)[k : k + m]
+        block.pq[row, :m, 0], block.pq[row, :m, 1] = self.noise.rates(n, k, k + m)
 
     @property
     def k(self) -> int:
@@ -819,7 +819,7 @@ def advance_streaming_round(
     across shots.
 
     The micro-batching kernel: per-round noise sampling (each shot's
-    own substream and schedule — shots may sit at *different* round
+    own substream and rates — shots may sit at *different* round
     indices, carry different noise models, clocks and round budgets),
     syndrome extraction, detection-event folding,
     correction-compensation syndromes *and the per-session state

@@ -368,7 +368,7 @@ def run_code_capacity_point(
     """2-D setting: one perfect syndrome per shot.
 
     ``noise`` selects a registered noise family (default
-    ``"code_capacity"``); only its data-flip schedule matters here —
+    ``"code_capacity"``); only its data-flip rate matters here —
     measurement is perfect by construction.  For that reason a ``"q"``
     riding along in ``noise_params`` (e.g. the runner's global ``--q``
     applied across experiments) is ignored by the *default* model

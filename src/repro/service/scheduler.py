@@ -100,8 +100,8 @@ first."""
 
 
 _CACHE_BOUND = 1024
-"""Entries at which the per-operating-point noise and event-rate caches
-are cleared: their keys are client-controlled."""
+"""Entries at which the per-operating-point noise-model cache is
+cleared: its keys are client-controlled."""
 
 
 TRACE_SAMPLE = 64
@@ -194,7 +194,6 @@ class MicroBatchScheduler:
         self._engine_pool: dict[tuple, QecoolEngineBatch] = {}
         self._scalar_pool: dict[tuple, list[QecoolEngine]] = {}
         self._noise_cache: dict[tuple, object] = {}
-        self._rate_cache: dict[tuple, float] = {}
         # Insertion-ordered set of shape keys whose groups have fully
         # drained, oldest first — the LRU over which `MAX_IDLE_SHAPES`
         # bounds the slabs/lattices/engine pools kept warm.
@@ -297,26 +296,6 @@ class MicroBatchScheduler:
         if len(pool) < ENGINE_POOL_PER_SHAPE:
             pool.append(engine.reset())
 
-    def _events_per_round(
-        self, noise, noise_key: tuple | None, spec: SessionSpec,
-        lattice: PlanarLattice,
-    ) -> float:
-        """Rough expected detection events per round (dispatch heuristic:
-        each data flip trips up to two ancillas, a measurement flip trips
-        one now and one next round).  ``noise_key=None`` (uncacheable
-        params) computes without caching."""
-        key = None if noise_key is None else noise_key + (spec.rounds, spec.d)
-        rate = None if key is None else self._rate_cache.get(key)
-        if rate is None:
-            data = float(noise.data_schedule(spec.rounds).mean())
-            meas = float(noise.meas_schedule(spec.rounds).mean())
-            rate = 2 * lattice.n_data * data + 2 * lattice.n_ancillas * meas
-            if key is not None:
-                if len(self._rate_cache) >= _CACHE_BOUND:
-                    self._rate_cache.clear()
-                self._rate_cache[key] = rate
-        return rate
-
     def _admit(self, session: DecodeSession) -> None:
         spec = session.spec
         lattice = self._lattice(spec.shape_key)
@@ -342,20 +321,27 @@ class MicroBatchScheduler:
                 q=spec.q, noise_params=spec.noise_params,
             )
             if noise_key is not None:
-                # Keys are client-controlled; bound the caches so a
+                # Keys are client-controlled; bound the cache so a
                 # long-running service sweeping operating points cannot
-                # grow them without limit.
+                # grow it without limit.
                 if len(self._noise_cache) >= _CACHE_BOUND:
                     self._noise_cache.clear()
-                    self._rate_cache.clear()
                 self._noise_cache[noise_key] = noise
         block = group.block
         capacity_before = block.capacity
         if spec.mode == "online":
-            dense = (
-                self._events_per_round(noise, noise_key, spec, lattice)
-                >= BATCH_EVENT_CUTOFF
-            )
+            # Expected detection events per round (a data flip trips up
+            # to two ancillas, a measurement flip one now and one next
+            # round) at the middle round(s)' rates: the stream's mean for
+            # constant and linear rates alike, at O(1) cost in n_rounds.
+            # Python sums: a numpy reduction would cost more than the rest.
+            n = spec.rounds
+            data, meas = noise.rates(n, (n - 1) // 2, n // 2 + 1)
+            events = (
+                2 * lattice.n_data * sum(data.tolist())
+                + 2 * lattice.n_ancillas * sum(meas.tolist())
+            ) / len(data)
+            dense = events >= BATCH_EVENT_CUTOFF
             session.shot = OnlineShot(
                 lattice, noise, spec.rounds, spec.online_config(),
                 rng=spec.seed,

@@ -50,6 +50,7 @@ import urllib.request
 from pathlib import Path
 
 from repro.core.online import run_online_trial
+from repro.experiments.montecarlo import resolve_noise
 from repro.obs.expo import render_exposition, validate_exposition
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.faults import FaultPlan
@@ -74,7 +75,9 @@ def _mixed_specs(n_sessions: int, seed0: int = 4000) -> list[SessionSpec]:
     Every tenth session is a 70-round ``d = 13`` online stream, longer
     than the 34-round noise window of a d = 13 slab row: the row
     refills twice mid-stream, so the bit-identity check covers the
-    refill.
+    refill.  Every other one of those streams runs ``drift`` noise,
+    whose rates change by round, so the refilled windows must take
+    their own rounds' rates too.
     """
     specs = []
     for i in range(n_sessions):
@@ -84,7 +87,12 @@ def _mixed_specs(n_sessions: int, seed0: int = 4000) -> list[SessionSpec]:
                 SessionSpec(d=d, p=0.02, seed=seed0 + i, mode="window", window=4)
             )
         elif i % 10 == 7:
-            specs.append(SessionSpec(d=13, p=0.02, seed=seed0 + i, n_rounds=70))
+            specs.append(
+                SessionSpec(
+                    d=13, p=0.02, seed=seed0 + i, n_rounds=70,
+                    noise="drift" if i % 20 == 7 else None,
+                )
+            )
         else:
             specs.append(
                 SessionSpec(
@@ -162,8 +170,12 @@ def _assert_bit_identical(spec: SessionSpec, result: dict) -> bool:
     assert result["d"] == spec.d
     if spec.mode != "online":
         return False
+    noise = resolve_noise(
+        spec.noise, "phenomenological", spec.p,
+        q=spec.q, noise_params=spec.noise_params,
+    )
     reference = run_online_trial(
-        PlanarLattice(spec.d), spec.p, spec.rounds,
+        PlanarLattice(spec.d), noise, spec.rounds,
         spec.online_config(), rng=spec.seed,
     )
     assert result["failed"] == reference.failed, f"failed flag diverged: {spec}"

@@ -22,15 +22,18 @@ scenario (see :func:`get_noise` and the runner's ``--noise`` flag):
 - ``drift`` — round-dependent rates ramping linearly from ``p`` in the
   first round to ``ramp * p`` in the last (calibration drift / heating).
 
-Every model exposes both the historical per-shot API (``sample``,
-``sample_round``, ``sample_rounds``) and **batched** kernels over a
-leading shots axis (``sample_batch``, ``sample_data_batch``).  The
-batched kernels accept either a single generator — noise for the whole
-batch in one vectorized draw — or a sequence of per-shot generators,
-which reproduces the per-shot :class:`numpy.random.SeedSequence`
-substream layout of the sharded executor *bit for bit* while still
-vectorizing all thresholding and downstream work (see
-``tests/README.md``).
+A family defines nothing but its per-round flip rates,
+:meth:`NoiseModel.rates` over a window ``[start, stop)`` of rounds: the
+constant-rate families give one ``(data, measurement)`` pair, ``drift``
+evaluates its ramp on the window alone.  Every model exposes both the
+historical per-shot API (``sample``, ``sample_round``,
+``sample_rounds``) and **batched** kernels over a leading shots axis
+(``sample_batch``, ``sample_data_batch``).  The batched kernels accept
+either a single generator — noise for the whole batch in one vectorized
+draw — or a sequence of per-shot generators, which reproduces the
+per-shot :class:`numpy.random.SeedSequence` substream layout of the
+sharded executor *bit for bit* while still vectorizing all thresholding
+and downstream work (see ``tests/README.md``).
 """
 
 from __future__ import annotations
@@ -65,10 +68,14 @@ RngsLike = "np.random.Generator | int | None | Sequence[np.random.Generator]"
 class NoiseModel:
     """Base class for all registered noise families.
 
-    A concrete model is a frozen dataclass whose only job is to map a
-    round count onto per-round Bernoulli rates via :meth:`data_schedule`
-    and :meth:`meas_schedule`; every sampling method — per-shot and
-    batched — is implemented once here in terms of those schedules.
+    A concrete model is a frozen dataclass whose only job is to give
+    the per-round Bernoulli rates of :meth:`rates`: a constant-rate
+    family supplies its ``(data, measurement)`` pair through
+    :meth:`rate_pair`, a round-dependent one overrides :meth:`rates`
+    itself.  Every sampling method — per-shot and batched — is
+    implemented once here in terms of those rates, and each asks only
+    for the rounds it draws, so a single round costs O(1) in the
+    stream length.
 
     Sampling draws uniforms *first* and thresholds them *second*, so two
     models that draw the same number of variates consume identical
@@ -103,13 +110,23 @@ class NoiseModel:
     # ------------------------------------------------------------------
     # Subclass interface: per-round Bernoulli rates
     # ------------------------------------------------------------------
-    def data_schedule(self, n_rounds: int) -> np.ndarray:
-        """Per-round data-qubit flip probabilities, shape ``(n_rounds,)``."""
+    def rate_pair(self) -> tuple[float, float]:
+        """The ``(data, measurement)`` flip probabilities of every round
+        (constant-rate families; round-dependent ones override
+        :meth:`rates` instead)."""
         raise NotImplementedError
 
-    def meas_schedule(self, n_rounds: int) -> np.ndarray:
-        """Per-round measurement flip probabilities, shape ``(n_rounds,)``."""
-        raise NotImplementedError
+    def rates(
+        self, n_rounds: int, start: int = 0, stop: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Data-qubit and measurement flip probabilities of rounds
+        ``[start, stop)`` of an ``n_rounds``-round experiment, two
+        float64 arrays of length ``stop - start`` (``stop`` defaults to
+        ``n_rounds``)."""
+        stop = _window_stop(n_rounds, start, stop)
+        rates = np.empty((2, stop - start))
+        rates[0], rates[1] = self.rate_pair()
+        return rates[0], rates[1]
 
     # ------------------------------------------------------------------
     # Per-shot sampling (the historical API; stream layout is frozen —
@@ -120,7 +137,7 @@ class NoiseModel:
     ) -> np.ndarray:
         """One single-round data-error pattern (code-capacity setting)."""
         rng = make_rng(rng)
-        p0 = float(self.data_schedule(1)[0])
+        p0 = float(self.rates(1)[0][0])
         return (rng.random(lattice.n_data) < p0).astype(np.uint8)
 
     def sample_round(
@@ -132,18 +149,17 @@ class NoiseModel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """New data errors and measurement flips for round ``t``.
 
-        ``n_rounds`` sizes round-dependent schedules (defaults to
+        ``n_rounds`` sizes round-dependent rates (defaults to
         ``t + 1``, i.e. "the experiment is at least this long"); models
-        with constant rates ignore it.  Returns ``(data_flips,
+        with constant rates ignore it.  ``t`` outside ``[0, n_rounds)``
+        raises :class:`ValueError`.  Returns ``(data_flips,
         measurement_flips)`` as uint8 vectors of lengths ``n_data`` and
         ``n_ancillas``.
         """
         n = (t + 1) if n_rounds is None else n_rounds
-        if not 0 <= t < n:
-            raise ValueError(f"round {t} out of range for n_rounds={n}")
+        ps, qs = self.rates(n, t, t + 1)
+        p_t, q_t = float(ps[0]), float(qs[0])
         rng = make_rng(rng)
-        p_t = float(self.data_schedule(n)[t])
-        q_t = float(self.meas_schedule(n)[t])
         data = (rng.random(lattice.n_data) < p_t).astype(np.uint8)
         meas = (rng.random(lattice.n_ancillas) < q_t).astype(np.uint8)
         return data, meas
@@ -165,43 +181,14 @@ class NoiseModel:
         if n_rounds < 0:
             raise ValueError(f"n_rounds must be non-negative, got {n_rounds}")
         rng = make_rng(rng)
-        ps = self.data_schedule(n_rounds)[:, None]
-        qs = self.meas_schedule(n_rounds)[:, None]
-        data = (rng.random((n_rounds, lattice.n_data)) < ps).astype(np.uint8)
-        meas = (rng.random((n_rounds, lattice.n_ancillas)) < qs).astype(np.uint8)
+        ps, qs = self.rates(n_rounds)
+        data = (rng.random((n_rounds, lattice.n_data)) < ps[:, None]).astype(np.uint8)
+        meas = (rng.random((n_rounds, lattice.n_ancillas)) < qs[:, None]).astype(np.uint8)
         return data, meas
 
     # ------------------------------------------------------------------
     # Batched sampling (the hot path of the Monte-Carlo tasks)
     # ------------------------------------------------------------------
-    def sample_round_batch(
-        self,
-        lattice: PlanarLattice,
-        rng: RngsLike = None,
-        t: int = 0,
-        n_rounds: int | None = None,
-        shots: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One round's noise for a whole batch of shots.
-
-        The batched form of :meth:`sample_round`: returns ``(data_flips,
-        measurement_flips)`` with shapes ``(shots, n_data)`` and
-        ``(shots, n_ancillas)``.  With a sequence of per-shot generators
-        each shot draws exactly what :meth:`sample_round` would — its
-        data block then its measurement block — so the streaming online
-        simulator can batch a round across shots **bit-identically** to
-        the per-shot loop.
-        """
-        n = (t + 1) if n_rounds is None else n_rounds
-        if not 0 <= t < n:
-            raise ValueError(f"round {t} out of range for n_rounds={n}")
-        u_data, u_meas = _batched_uniforms(
-            shots, [(lattice.n_data,), (lattice.n_ancillas,)], rng
-        )
-        p_t = float(self.data_schedule(n)[t])
-        q_t = float(self.meas_schedule(n)[t])
-        return (u_data < p_t).view(np.uint8), (u_meas < q_t).view(np.uint8)
-
     def sample_data_batch(
         self,
         lattice: PlanarLattice,
@@ -217,7 +204,7 @@ class NoiseModel:
         sequence length.
         """
         uniforms = _batched_uniforms(shots, [(lattice.n_data,)], rng)[0]
-        p0 = float(self.data_schedule(1)[0])
+        p0 = float(self.rates(1)[0][0])
         # A fresh bool comparison result views as uint8 for free.
         return (uniforms < p0).view(np.uint8)
 
@@ -244,9 +231,22 @@ class NoiseModel:
             [(n_rounds, lattice.n_data), (n_rounds, lattice.n_ancillas)],
             rng,
         )
-        ps = self.data_schedule(n_rounds)[None, :, None]
-        qs = self.meas_schedule(n_rounds)[None, :, None]
-        return (u_data < ps).view(np.uint8), (u_meas < qs).view(np.uint8)
+        ps, qs = self.rates(n_rounds)
+        return (
+            (u_data < ps[None, :, None]).view(np.uint8),
+            (u_meas < qs[None, :, None]).view(np.uint8),
+        )
+
+
+def _window_stop(n_rounds: int, start: int, stop: int | None) -> int:
+    """Validate the round window ``[start, stop)`` of an ``n_rounds``
+    experiment; returns ``stop`` (``n_rounds`` when ``None``)."""
+    stop = n_rounds if stop is None else stop
+    if not 0 <= start <= stop <= n_rounds:
+        raise ValueError(
+            f"rounds [{start}, {stop}) out of range for n_rounds={n_rounds}"
+        )
+    return stop
 
 
 def _batched_uniforms(
@@ -293,11 +293,8 @@ class CodeCapacityNoise(NoiseModel):
     def __post_init__(self) -> None:
         _check_probability("p", self.p)
 
-    def data_schedule(self, n_rounds: int) -> np.ndarray:
-        return np.full(n_rounds, self.p)
-
-    def meas_schedule(self, n_rounds: int) -> np.ndarray:
-        return np.zeros(n_rounds)
+    def rate_pair(self) -> tuple[float, float]:
+        return self.p, 0.0
 
 
 @dataclass(frozen=True)
@@ -322,11 +319,8 @@ class PhenomenologicalNoise(NoiseModel):
         """Effective measurement-flip probability (``q`` or ``p``)."""
         return self.p if self.q is None else self.q
 
-    def data_schedule(self, n_rounds: int) -> np.ndarray:
-        return np.full(n_rounds, self.p)
-
-    def meas_schedule(self, n_rounds: int) -> np.ndarray:
-        return np.full(n_rounds, self.measurement_error_rate)
+    def rate_pair(self) -> tuple[float, float]:
+        return self.p, self.measurement_error_rate
 
 
 @dataclass(frozen=True)
@@ -371,11 +365,8 @@ class BiasedNoise(NoiseModel):
         share = self.bias / (1.0 + self.bias) if self.axis == "x" else 1.0 / (1.0 + self.bias)
         return self.p * share
 
-    def data_schedule(self, n_rounds: int) -> np.ndarray:
-        return np.full(n_rounds, self.visible_rate)
-
-    def meas_schedule(self, n_rounds: int) -> np.ndarray:
-        return np.full(n_rounds, self.visible_rate if self.q is None else self.q)
+    def rate_pair(self) -> tuple[float, float]:
+        return self.visible_rate, self.visible_rate if self.q is None else self.q
 
 
 @dataclass(frozen=True)
@@ -403,11 +394,8 @@ class DepolarizingNoise(NoiseModel):
         """X-or-Y flip rate seen by the simulated sector."""
         return 2.0 * self.p / 3.0
 
-    def data_schedule(self, n_rounds: int) -> np.ndarray:
-        return np.full(n_rounds, self.visible_rate)
-
-    def meas_schedule(self, n_rounds: int) -> np.ndarray:
-        return np.full(n_rounds, self.visible_rate if self.q is None else self.q)
+    def rate_pair(self) -> tuple[float, float]:
+        return self.visible_rate, self.visible_rate if self.q is None else self.q
 
 
 @dataclass(frozen=True)
@@ -437,18 +425,20 @@ class DriftNoise(NoiseModel):
         _check_probability("p * ramp", self.p * peak)
         _check_probability("q * ramp", (self.p if self.q is None else self.q) * peak)
 
-    def _profile(self, n_rounds: int) -> np.ndarray:
+    def rates(
+        self, n_rounds: int, start: int = 0, stop: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # The ramp is evaluated on the window's round indices only: the
+        # same elementwise arithmetic as over all rounds, so any window
+        # is bit-identical to that slice of the full ramp.
+        stop = _window_stop(n_rounds, start, stop)
         if n_rounds <= 1:
-            return np.ones(n_rounds)
-        t = np.arange(n_rounds) / (n_rounds - 1)
-        return 1.0 + (self.ramp - 1.0) * t
-
-    def data_schedule(self, n_rounds: int) -> np.ndarray:
-        return self.p * self._profile(n_rounds)
-
-    def meas_schedule(self, n_rounds: int) -> np.ndarray:
+            profile = np.ones(stop - start)
+        else:
+            t = np.arange(start, stop) / (n_rounds - 1)
+            profile = 1.0 + (self.ramp - 1.0) * t
         q0 = self.p if self.q is None else self.q
-        return q0 * self._profile(n_rounds)
+        return self.p * profile, q0 * profile
 
 
 # ---------------------------------------------------------------------------

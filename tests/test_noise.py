@@ -196,16 +196,64 @@ class TestProjectedRates:
 
     def test_q_defaults_to_visible_rate(self, d5):
         model = BiasedNoise(0.11, bias=10.0, axis="z")
-        assert model.meas_schedule(3) == pytest.approx([0.01] * 3)
+        assert model.rates(3)[1] == pytest.approx([0.01] * 3)
 
     def test_drift_schedule_ramps_linearly(self):
         model = DriftNoise(0.01, ramp=3.0)
-        np.testing.assert_allclose(model.data_schedule(3), [0.01, 0.02, 0.03])
-        np.testing.assert_allclose(model.data_schedule(1), [0.01])
+        np.testing.assert_allclose(model.rates(3)[0], [0.01, 0.02, 0.03])
+        np.testing.assert_allclose(model.rates(1)[0], [0.01])
 
     def test_drift_q_ramps_from_q(self):
         model = DriftNoise(0.01, q=0.002, ramp=3.0)
-        np.testing.assert_allclose(model.meas_schedule(3), [0.002, 0.004, 0.006])
+        np.testing.assert_allclose(model.rates(3)[1], [0.002, 0.004, 0.006])
+
+
+class TestRateWindows:
+    """``rates(n, start, stop)`` is exactly that slice of ``rates(n)``:
+    callers ask only for the rounds they draw, bit-identically."""
+
+    WINDOWS = (
+        (1, 0, 1),  # a one-round experiment
+        (1, 1, 1),  # ... and its empty tail
+        (7, 6, 7),  # start = n - 1
+        (7, 3, 7),  # ends at n
+        (7, 2, 5),
+        (100_000, 0, 75),
+        (100_000, 49_999, 50_001),
+        (100_000, 99_925, 100_000),
+    )
+
+    @pytest.mark.parametrize("name", ALL_FAMILIES)
+    @pytest.mark.parametrize("n,start,stop", WINDOWS)
+    def test_window_equals_slice_of_all_rounds(self, name, n, start, stop):
+        model = get_noise(name, p=0.0123)
+        full = model.rates(n)
+        window = model.rates(n, start, stop)
+        assert len(full) == len(window) == 2
+        for whole, part in zip(full, window):
+            assert whole.dtype == part.dtype == np.float64
+            assert whole.shape == (n,)
+            assert np.array_equal(part, whole[start:stop])
+        for whole, tail in zip(full, model.rates(n, start)):
+            assert np.array_equal(tail, whole[start:])
+
+    @pytest.mark.parametrize("name", ALL_FAMILIES)
+    def test_window_outside_the_experiment_rejected(self, name):
+        model = get_noise(name, p=0.0123)
+        for start, stop in ((-1, 2), (3, 6), (3, 2)):
+            with pytest.raises(ValueError, match="out of range"):
+                model.rates(5, start, stop)
+
+
+class TestSampleRoundBatch:
+    """Round-indexed sampling: the round must lie inside the experiment."""
+
+    def test_round_out_of_range_rejected(self):
+        lattice = PlanarLattice(3)
+        model = PhenomenologicalNoise(0.1)
+        for t in (-1, 3, 5):
+            with pytest.raises(ValueError, match="out of range"):
+                model.sample_round(lattice, rng=1, t=t, n_rounds=3)
 
 
 class TestBatchedSampling:
@@ -261,54 +309,3 @@ class TestBatchedSampling:
         data, _ = DriftNoise(0.05, ramp=4.0).sample_batch(d3, 8, shots=400, rng=2)
         first, last = data[:, 0, :].mean(), data[:, -1, :].mean()
         assert last > 2.5 * first  # ramp=4 modulo sampling noise
-
-
-class TestSampleRoundBatch:
-    """Batched per-round sampling: the online chunk path's kernel."""
-
-    def test_per_shot_generators_match_sample_round(self):
-        from repro.util.rng import substream
-
-        lattice = PlanarLattice(5)
-        model = PhenomenologicalNoise(0.05, 0.02)
-        root = np.random.SeedSequence(9)
-        for t in range(3):
-            rngs = lambda: [substream(root, 100 * t + i) for i in range(6)]
-            data_b, meas_b = model.sample_round_batch(
-                lattice, rngs(), t=t, n_rounds=5
-            )
-            for i, rng in enumerate(rngs()):
-                data, meas = model.sample_round(lattice, rng, t=t, n_rounds=5)
-                assert np.array_equal(data_b[i], data)
-                assert np.array_equal(meas_b[i], meas)
-
-    def test_round_dependent_model_uses_round_index(self):
-        from repro.util.rng import substream
-
-        lattice = PlanarLattice(3)
-        model = DriftNoise(0.02, ramp=4.0)
-        root = np.random.SeedSequence(4)
-        rngs = lambda t: [substream(root, 10 * t + i) for i in range(4)]
-        early, _ = model.sample_round_batch(lattice, rngs(0), t=0, n_rounds=6)
-        late, _ = model.sample_round_batch(lattice, rngs(5), t=5, n_rounds=6)
-        # The ramp cannot make the (seed-paired) late round *less* noisy
-        # in expectation; check the schedule itself rather than samples.
-        assert model.data_schedule(6)[5] > model.data_schedule(6)[0]
-        assert early.shape == late.shape == (4, lattice.n_data)
-
-    def test_single_generator_mode_needs_shots(self):
-        lattice = PlanarLattice(3)
-        model = PhenomenologicalNoise(0.1)
-        with pytest.raises(ValueError):
-            model.sample_round_batch(lattice, rng=np.random.default_rng(1), t=0)
-        data, meas = model.sample_round_batch(
-            lattice, rng=np.random.default_rng(1), t=0, shots=5
-        )
-        assert data.shape == (5, lattice.n_data)
-        assert meas.shape == (5, lattice.n_ancillas)
-
-    def test_round_out_of_range_rejected(self):
-        lattice = PlanarLattice(3)
-        model = PhenomenologicalNoise(0.1)
-        with pytest.raises(ValueError):
-            model.sample_round_batch(lattice, rng=1, t=5, n_rounds=3, shots=2)

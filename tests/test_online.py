@@ -212,3 +212,51 @@ class TestNoiseWindow:
         # A per-round table for one such length would be ~10 MiB.
         assert retained[-1] - retained[0] < 256 * 1024, retained
         assert retained[-1] < 1 << 20, retained
+
+    def test_rate_requests_scale_with_the_window(self, monkeypatch):
+        """Refill, admission dispatch and the per-round reference ask the
+        noise model only for the rounds they use, never for all
+        ``n_rounds``: a 100 000-round stream costs its window."""
+        import repro.service.scheduler as scheduler_module
+        from repro.core.online import (
+            OnlineShot,
+            StreamingBlock,
+            StreamingRoster,
+            advance_streaming_round,
+        )
+        from repro.service import MicroBatchScheduler, SessionSpec
+        from repro.surface_code.noise import DriftNoise
+
+        lengths: list[int] = []
+
+        class RecordingDrift(DriftNoise):
+            def rates(self, n_rounds, start=0, stop=None):
+                data, meas = super().rates(n_rounds, start, stop)
+                lengths.append(len(data))
+                return data, meas
+
+        n_rounds = 100_000
+        noise = RecordingDrift(0.001)
+        lattice = PlanarLattice(9)
+
+        block = StreamingBlock(lattice, capacity=1)
+        shot = OnlineShot(lattice, noise, n_rounds, OnlineConfig(None), 1, block)
+        roster = StreamingRoster(block, [shot])
+        for _ in range(3 * block.noise_window + 1):  # three refills
+            running, _ = advance_streaming_round(roster)
+            assert running == [shot]
+        assert len(lengths) == 4
+        assert max(lengths) <= block.noise_window
+
+        lengths.clear()
+        monkeypatch.setattr(scheduler_module, "resolve_noise", lambda *a, **k: noise)
+        scheduler = MicroBatchScheduler()
+        scheduler.submit(SessionSpec(d=9, p=0.001, seed=2, n_rounds=n_rounds))
+        scheduler.step()  # admits, then advances round 0
+        dispatch, refill = lengths  # the estimate, then the first window
+        assert dispatch <= 2
+        assert refill <= scheduler._groups[9].block.noise_window
+
+        lengths.clear()
+        noise.sample_round(lattice, 3, t=n_rounds // 2, n_rounds=n_rounds)
+        assert lengths == [1]

@@ -429,21 +429,27 @@ class TestSchedulerLifecycle:
         scheduler.run_until_idle()
         assert_session_matches_trial(long_lived)
 
-    def test_event_rate_cache_is_bounded_at_one_operating_point(self):
-        """Distinct ``n_rounds`` at one operating point add event-rate
-        entries without adding noise-cache entries; the rate cache must
-        still stay within the noise cache's bound."""
+    def test_noise_cache_is_bounded(self, monkeypatch):
+        """Operating points are client-controlled: past ``_CACHE_BOUND``
+        distinct ones the noise-model cache is cleared, not grown, and
+        every session still decodes bit-identically."""
         import repro.service.scheduler as scheduler_module
 
-        scheduler = MicroBatchScheduler()
-        lattice = PlanarLattice(3)
-        noise = PhenomenologicalNoise(0.01)
-        noise_key = ("phenomenological", 0.01, None, None)
-        bound = scheduler_module._CACHE_BOUND
-        for rounds in range(1, 3 * bound):
-            spec = SessionSpec(d=3, p=0.01, seed=1, n_rounds=rounds)
-            scheduler._events_per_round(noise, noise_key, spec, lattice)
-        assert 0 < len(scheduler._rate_cache) <= bound
+        bound = 3
+        monkeypatch.setattr(scheduler_module, "_CACHE_BOUND", bound)
+        scheduler = MicroBatchScheduler(
+            SchedulerConfig(max_active=4, max_queue=64)
+        )
+        sessions = [
+            scheduler.submit(
+                SessionSpec(d=3, p=0.01 + 0.002 * i, seed=60 + i, n_rounds=4)
+            )
+            for i in range(3 * bound + 1)
+        ]
+        scheduler.run_until_idle()
+        assert 0 < len(scheduler._noise_cache) <= bound
+        for session in sessions:
+            assert_session_matches_trial(session)
 
     def test_capacity_bounds_active_sessions(self):
         scheduler = MicroBatchScheduler(SchedulerConfig(max_active=2, max_queue=64))
