@@ -15,9 +15,22 @@ feedback path of Algorithm 1): the event layer pushed for round ``t`` is
 
     raw_syndrome(t) XOR raw_syndrome(t-1) XOR H . corrections(t-1 -> t)
 
+:func:`run_online_trial` runs exactly that physical loop and is the
+oracle.  The compensation cancels the corrections, so the layer equals
+
+    events(t) = H . d(t) XOR m(t) XOR m(t-1)
+
+for round ``t``'s new data flips ``d(t)`` and measurement flips
+``m(t)`` (``m(-1) = 0``), a function of the noise alone.  The streaming
+path (:class:`StreamingBlock`, :func:`advance_streaming_round`) derives
+each window of event layers from its uniforms in one vectorized pass
+and only XORs the window's data-flip parity and the applied
+corrections into the error row, which is read once, at the end.
+
 After the last noisy round a final perfectly-measured round is appended
-and the engine drains (``thv`` wait lifted); the trial is a logical
-failure if the residual error crosses the west-east cut.
+(its layer is ``m(n-1)``) and the engine drains (``thv`` wait lifted);
+the trial is a logical failure if the residual error crosses the
+west-east cut.
 """
 
 from __future__ import annotations
@@ -37,7 +50,7 @@ from repro.decoders.base import Match, correction_from_matches
 from repro.surface_code.lattice import PlanarLattice
 from repro.surface_code.logical import logical_failure, logical_failures_batch
 from repro.surface_code.noise import NoiseModel, PhenomenologicalNoise
-from repro.util.rng import make_rng
+from repro.util.rng import make_rng, pcg64_states
 
 __all__ = [
     "BATCH_ENGINE_CUTOFF",
@@ -49,6 +62,7 @@ __all__ = [
     "StreamingRoster",
     "StreamingShotState",
     "advance_streaming_round",
+    "fill_windows",
     "run_online_chunk",
     "run_online_trial",
 ]
@@ -59,12 +73,13 @@ scalar engine's per-shot path is cheaper (single-lane batches pay the
 lock-step machinery without amortising it)."""
 
 NOISE_WINDOW_DOUBLES = 16384
-"""Uniform draws one slab row holds at a time (128 KiB of float64).
+"""Uniform draws one row's window takes (128 KiB of float64).
 
 A :class:`StreamingBlock` of lattice width ``w = n_data + n_ancillas``
-holds ``max(1, NOISE_WINDOW_DOUBLES // w)`` rounds of noise per row
-(75 at ``d = 9``); a longer stream refills its row from its own
-generator each time its round cursor crosses a window boundary."""
+draws at most ``max(1, NOISE_WINDOW_DOUBLES // w)`` rounds of noise per
+row at a time (75 at ``d = 9``) and keeps only their event layers; a
+longer stream refills its row from its own stream each time its round
+cursor crosses a window boundary."""
 
 
 @dataclass(frozen=True)
@@ -216,34 +231,38 @@ class StreamingBlock:
     round runs as fancy-index gathers/scatters instead of per-shot
     Python:
 
-    - the physical rows — ``errors`` / ``prev`` / ``comp`` (uint8);
+    - the physical row ``errors`` (uint8): the data-flip parity of
+      every window drawn so far XOR every correction applied, read once
+      at the end of the stream;
     - the **session-state** rows — round cursor ``k``, round budget
       ``rounds``, decoder-cycle ``wall`` clock, per-interval cycle
       ``budget`` (``inf`` = unconstrained clock, mirrored by the
       ``finite`` mask so the vector wall arithmetic never multiplies
       into ``inf``), the engine-idle flag ``at_idle`` and the
       consumed-match cursor ``consumed``;
-    - the **noise window** rows — ``u[row, t % noise_window]`` holds
-      round ``t``'s uniform draws and ``pq[row, t % noise_window]`` its
-      (data, measurement) flip rates.  A row holds at most
-      ``noise_window`` rounds (:data:`NOISE_WINDOW_DOUBLES` doubles);
-      a longer stream refills it from the shot's own generator
-      (:meth:`StreamingShotState.refill`) as its cursor crosses each
-      window boundary.
+    - the **event window** rows — ``events[row, t - win0[row]]`` holds
+      round ``t``'s detection-event layer for the rounds
+      ``[win0, win1)`` drawn last, and slot ``win1 - win0`` holds
+      ``m(win1 - 1)``: the final layer when ``win1`` is the stream's
+      last noisy round, else the part of the next window's first layer
+      this window owes.  A window spans at most ``noise_window``
+      rounds (:data:`NOISE_WINDOW_DOUBLES` uniforms); a longer stream
+      refills as its cursor reaches ``win1`` (:func:`fill_windows`).
 
     Rows are allocated to shots on admission and recycled on retirement
     (the decode service's scheduler keeps one block per micro-batch
-    shape group); shots hold *views* into the physical rows, so
-    :meth:`grow` reallocations require :meth:`OnlineShot.rebind` on
-    every live shot — the scheduler owns that bookkeeping.  The
-    session-state rows are only ever indexed, never viewed, so growth
-    cannot strand them.
+    shape group); shots hold a *view* of their ``errors`` row, so
+    :meth:`grow` reallocations require :meth:`StreamingShotState.rebind`
+    on every live shot — the scheduler owns that bookkeeping.  Every
+    other slab is only ever indexed, never viewed, so growth cannot
+    strand it.  The block also owns the one ``PCG64`` that draws the
+    windows of its integer-seeded shots.
     """
 
     _SLABS = (
-        "errors", "prev", "comp",
+        "errors",
         "k", "rounds", "wall", "budget", "finite", "at_idle",
-        "consumed", "u", "pq",
+        "consumed", "win0", "win1", "events",
     )
 
     def __init__(self, lattice: PlanarLattice, capacity: int = 64):
@@ -252,8 +271,6 @@ class StreamingBlock:
         self.lattice = lattice
         self.capacity = capacity
         self.errors = np.zeros((capacity, lattice.n_data), dtype=np.uint8)
-        self.prev = np.zeros((capacity, lattice.n_ancillas), dtype=np.uint8)
-        self.comp = np.zeros((capacity, lattice.n_ancillas), dtype=np.uint8)
         self.k = np.zeros(capacity, dtype=np.int64)
         self.rounds = np.zeros(capacity, dtype=np.int64)
         self.wall = np.zeros(capacity, dtype=np.float64)
@@ -261,13 +278,25 @@ class StreamingBlock:
         self.finite = np.zeros(capacity, dtype=bool)
         self.at_idle = np.ones(capacity, dtype=bool)
         self.consumed = np.zeros(capacity, dtype=np.int64)
-        # Per-row noise windows, grown along the round axis on demand
-        # up to ``noise_window`` rounds.
+        self.win0 = np.zeros(capacity, dtype=np.int64)
+        self.win1 = np.zeros(capacity, dtype=np.int64)
+        # Per-row event windows, grown along the round axis on demand up
+        # to ``noise_window`` rounds (plus the owed/final slot).
         width = lattice.n_data + lattice.n_ancillas
         self.noise_window = max(1, NOISE_WINDOW_DOUBLES // width)
         self.n_rounds_cap = 0
-        self.u = np.zeros((capacity, 0, width), dtype=np.float64)
-        self.pq = np.zeros((capacity, 0, 2), dtype=np.float64)
+        self.events = np.zeros((capacity, 1, lattice.n_ancillas), dtype=np.uint8)
+        # Each stabilizer's (at most 4) data qubits, padded with the
+        # index of an always-zero flip column: a window's syndromes are
+        # four column gathers XORed, no matmul.
+        support = np.full((4, lattice.n_ancillas), lattice.n_data, dtype=np.intp)
+        for a, row in enumerate(lattice.parity_matrix):
+            qubits = np.flatnonzero(row)
+            support[: qubits.size, a] = qubits
+        self.support = support
+        self._phase = 0
+        self._pcg = np.random.PCG64(0)
+        self._draw = np.random.Generator(self._pcg)
         self._free = list(range(capacity - 1, -1, -1))
 
     @property
@@ -275,81 +304,104 @@ class StreamingBlock:
         """Rows currently unallocated."""
         return len(self._free)
 
-    def alloc(self) -> int:
-        """Claim a reset row; grows the block when none are free."""
-        if not self._free:
-            self.grow()
-        row = self._free.pop()
-        self.errors[row] = 0
-        self.prev[row] = 0
-        self.comp[row] = 0
-        self.k[row] = 0
-        self.rounds[row] = 0
-        self.wall[row] = 0.0
-        self.budget[row] = math.inf
-        self.finite[row] = False
-        self.at_idle[row] = True
-        self.consumed[row] = 0
-        return row
+    def alloc(self, count: int = 1) -> list[int]:
+        """Claim ``count`` reset rows, growing the block (once) when too
+        few are free."""
+        if count < 1:
+            return []
+        if count > len(self._free):
+            self.grow(self.capacity - len(self._free) + count)
+        rows = self._free[-count:][::-1]
+        del self._free[-count:]
+        r = rows[0] if count == 1 else np.array(rows)
+        self.errors[r] = 0
+        self.k[r] = 0
+        self.rounds[r] = 0
+        self.wall[r] = 0.0
+        self.budget[r] = math.inf
+        self.finite[r] = False
+        self.at_idle[r] = True
+        self.consumed[r] = 0
+        self.win0[r] = 0
+        self.win1[r] = 0
+        return rows
 
     def release(self, row: int) -> None:
         """Return a retired shot's row to the free list."""
         self._free.append(row)
 
+    def next_phase(self) -> int:
+        """The first-window shortening of the next stream longer than
+        one window: successive long streams take successive phases, so
+        streams admitted together refill on different rounds."""
+        phase = self._phase
+        self._phase = (phase + 1) % self.noise_window
+        return phase
+
     def ensure_rounds(self, n_rounds: int) -> None:
-        """Grow the noise window slabs to cover ``n_rounds`` rounds,
+        """Grow the event slab to hold windows of ``n_rounds`` rounds,
         never past ``noise_window``.
 
         Unlike :meth:`grow` this reallocation strands no views — the
-        noise slabs are only ever indexed.
+        event slab is only ever indexed.
         """
         if n_rounds <= self.n_rounds_cap:
             return
         new = min(max(n_rounds, 2 * self.n_rounds_cap), self.noise_window)
-        for name in ("u", "pq"):
-            arr = getattr(self, name)
-            grown = np.zeros(
-                (self.capacity, new) + arr.shape[2:], dtype=arr.dtype
-            )
-            grown[:, : self.n_rounds_cap] = arr
-            setattr(self, name, grown)
+        grown = np.zeros(
+            (self.capacity, new + 1, self.lattice.n_ancillas), dtype=np.uint8
+        )
+        grown[:, : self.n_rounds_cap + 1] = self.events
+        self.events = grown
         self.n_rounds_cap = new
 
-    def grow(self) -> None:
-        """Double capacity, preserving live rows.
+    def grow(self, min_capacity: int | None = None) -> None:
+        """Double capacity (repeatedly, up to ``min_capacity``) in one
+        reallocation, preserving live rows.
 
-        Existing views go stale: every live shot must ``rebind``.
+        The ``errors`` views go stale: every live shot must ``rebind``.
         """
         old = self.capacity
-        self.capacity = old * 2
+        new = 2 * old
+        while min_capacity is not None and new < min_capacity:
+            new *= 2
+        self.capacity = new
         for name in self._SLABS:
             arr = getattr(self, name)
-            grown = np.zeros((self.capacity,) + arr.shape[1:], dtype=arr.dtype)
+            grown = np.zeros((new,) + arr.shape[1:], dtype=arr.dtype)
             grown[:old] = arr
             setattr(self, name, grown)
-        self._free.extend(range(self.capacity - 1, old - 1, -1))
+        self._free.extend(range(new - 1, old - 1, -1))
 
 
 class StreamingShotState:
     """Shared per-shot state of the streaming-shot protocol.
 
     The plumbing every shot kind needs — the physical error row, the
-    previous raw syndrome, the pending correction compensation, the
-    noise substream and its window of drawn rounds, and the round
-    counter.  All of it is **slab-resident**: state lives in one row of
-    the :class:`StreamingBlock` the shot is built on (the decode
-    service allocates one row per admission; the owner releases it at
-    retirement), and the shot's ``error``/``prev_raw``/``compensation``
-    are views into that row.  Concrete shots (:class:`OnlineShot`
-    here, ``WindowShot`` in :mod:`repro.service.session`) add their
-    decode state and implement ``finish_pair()`` and ``finalize()``,
-    plus ``step()`` unless they ride a batch-engine lane.
+    noise stream and the round counter.  All of it is
+    **slab-resident**: state lives in one row of the
+    :class:`StreamingBlock` the shot is built on (the decode service
+    allocates rows per admission wave and passes each shot its
+    ``row``; the owner releases it at retirement), and the shot's
+    ``error`` is a view into that row.  Concrete shots
+    (:class:`OnlineShot` here, ``WindowShot`` in
+    :mod:`repro.service.session`) add their decode state and implement
+    ``finish_pair()`` and ``finalize()``, plus ``step()`` unless they
+    ride a batch-engine lane.
+
+    ``rng`` is an integer seed, a pre-hashed ``(state, inc)`` PCG64
+    pair (:func:`repro.util.rng.pcg64_states`), or anything
+    :func:`~repro.util.rng.make_rng` takes (a ``Generator`` then draws
+    every window itself).  An integer-seeded stream is kept as that
+    pair alone, and its windows are drawn by the block's own ``PCG64``.
+    Nothing is drawn here: the owner fills the first window
+    (:func:`fill_windows`, as the scheduler does for a whole admission
+    wave), or else the first :func:`advance_streaming_round` does.
     """
 
     __slots__ = (
-        "lattice", "noise", "n_rounds", "rng",
-        "error", "prev_raw", "compensation", "outcome",
-        "block", "row", "owner",
+        "lattice", "noise", "n_rounds", "rng", "phase",
+        "error", "outcome", "block", "row", "owner",
     )
 
     def __init__(
@@ -357,42 +409,35 @@ class StreamingShotState:
         lattice: PlanarLattice,
         noise: NoiseModel,
         n_rounds: int,
-        rng: np.random.Generator | int | None,
+        rng: np.random.Generator | int | tuple[int, int] | None,
         block: StreamingBlock,
+        row: int | None = None,
     ):
         if n_rounds < 1:
             raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
         self.lattice = lattice
         self.noise = noise
         self.n_rounds = n_rounds
-        self.rng = make_rng(rng)
+        if isinstance(rng, tuple):
+            self.rng = rng
+        elif isinstance(rng, (int, np.integer)):
+            self.rng = pcg64_states([rng])[0]
+        else:
+            self.rng = make_rng(rng)
         self.block = block
-        self.row = block.alloc()
+        self.row = block.alloc()[0] if row is None else row
         self.rebind()
         block.rounds[self.row] = n_rounds
+        self.phase = block.next_phase() if n_rounds > block.noise_window else 0
         self.outcome = None
         self.owner = None  # opaque back-reference for schedulers
-        self.refill(0)
 
-    def refill(self, k: int) -> None:
-        """Draw rounds ``k`` to ``k + m - 1`` into the row's noise window,
-        ``m = min(noise_window, n_rounds - k)``.
-
-        One generator call straight into the slab: numpy fills
-        row-major, one 64-bit output per double, so ``u[row, t]`` holds
-        exactly the doubles round ``k + t``'s ``sample_round`` would
-        draw — the per-round reference's stream, one call per window
-        instead of one per round.  (A shot that stops early — Reg
-        overflow — leaves its generator past where the reference would;
-        nothing reads it afterwards.)  ``pq`` takes the model's rates
-        of the same rounds, asked for by window, so a refill costs its
-        window whatever ``n_rounds`` is.
-        """
-        block, row, n = self.block, self.row, self.n_rounds
-        m = min(block.noise_window, n - k)
-        block.ensure_rounds(m)
-        self.rng.random(out=block.u[row, :m])
-        block.pq[row, :m, 0], block.pq[row, :m, 1] = self.noise.rates(n, k, k + m)
+    def window_end(self, k: int) -> int:
+        """The round at which the window starting at round ``k`` ends:
+        the next multiple of ``noise_window`` less the shot's phase, or
+        the end of the stream."""
+        w = self.block.noise_window
+        return min(self.n_rounds, ((k + self.phase) // w + 1) * w - self.phase)
 
     @property
     def k(self) -> int:
@@ -404,10 +449,99 @@ class StreamingShotState:
         self.block.k[self.row] = value
 
     def rebind(self) -> None:
-        """Refresh the block-row views (after ``StreamingBlock.grow``)."""
+        """Refresh the block-row view (after ``StreamingBlock.grow``)."""
         self.error = self.block.errors[self.row]
-        self.prev_raw = self.block.prev[self.row]
-        self.compensation = self.block.comp[self.row]
+
+
+def fill_windows(block: StreamingBlock, shots: list, ks: list[int]) -> None:
+    """Draw the next window of each shot (whose cursor sits at its
+    ``ks`` entry, a window boundary: ``0`` for a new shot) and derive
+    its event layers.
+
+    Each shot's uniforms come from its own stream in one call, row
+    after row into one scratch: numpy fills row-major, one 64-bit
+    output per double, so round ``t`` gets exactly the doubles
+    ``sample_round`` would draw for it — the per-round reference's
+    stream, one call per window.  (A shot that stops early — Reg
+    overflow — leaves its stream past where the reference would;
+    nothing reads it afterwards.)  An integer-seeded stream is drawn by
+    the block's ``PCG64`` set to its ``(state, inc)`` pair, and keeps
+    the advanced pair only if another window follows.
+
+    Everything after the draw is one vectorized pass over all the
+    windows: the flips against each round's rates (asked of the model
+    by window, so a refill costs its window whatever ``n_rounds`` is),
+    ``H . d(t)`` as four column gathers XORed, ``m(t) ^ m(t-1)`` along
+    each window (its first layer takes the ``m`` the previous window
+    owes it), the scatter into the event slab and the XOR of each
+    window's data-flip parity into its error row.
+    """
+    lattice = block.lattice
+    n_data, n_anc = lattice.n_data, lattice.n_ancillas
+    rows = np.fromiter((shot.row for shot in shots), np.intp, len(shots))
+    lengths = [shot.window_end(k) - k for shot, k in zip(shots, ks)]
+    block.ensure_rounds(max(lengths))
+    total = sum(lengths)
+    uniforms = np.empty((total, n_data + n_anc))
+    data_rates, meas_rates = [], []
+    window_rates: dict = {}
+    pcg, draw = block._pcg, block._draw
+    at = 0
+    for shot, k, m in zip(shots, ks, lengths):
+        key = (id(shot.noise), shot.n_rounds, k, m)
+        rates = window_rates.get(key)
+        if rates is None:
+            rates = window_rates[key] = shot.noise.rates(shot.n_rounds, k, k + m)
+        data_rates.append(rates[0])
+        meas_rates.append(rates[1])
+        stream = shot.rng
+        if type(stream) is tuple:
+            pcg.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": stream[0], "inc": stream[1]},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            draw.random(out=uniforms[at : at + m])
+            if k + m < shot.n_rounds:
+                shot.rng = (pcg.state["state"]["state"], stream[1])
+        else:
+            stream.random(out=uniforms[at : at + m])
+        at += m
+    # Flip columns padded to whole uint64 words, the pad column included
+    # (index n_data, always 0): the parity below XORs words.
+    flips = np.zeros((total, (n_data + 8) // 8 * 8), dtype=bool)
+    np.less(
+        uniforms[:, :n_data], np.concatenate(data_rates)[:, None],
+        out=flips[:, :n_data],
+    )
+    meas = (uniforms[:, n_data:] < np.concatenate(meas_rates)[:, None]).view(
+        np.uint8
+    )
+    data = flips.view(np.uint8)
+    a, b, c, d = block.support
+    layers = data[:, a]
+    layers ^= data[:, b]
+    layers ^= data[:, c]
+    layers ^= data[:, d]
+    layers ^= meas
+    layers[1:] ^= meas[:-1]
+    m_arr = np.array(lengths)
+    starts = np.cumsum(m_arr) - m_arr
+    layers[starts[1:]] ^= meas[starts[1:] - 1]  # not across windows
+    k_arr = np.array(ks)
+    owed = block.events[rows, k_arr - block.win0[rows]]
+    owed[k_arr == 0] = 0  # a first window owes nothing
+    layers[starts] ^= owed
+    slots = block.events.shape[1]
+    events = block.events.reshape(-1, n_anc)
+    first = rows * slots
+    events[np.repeat(first - starts, m_arr) + np.arange(total)] = layers
+    events[first + m_arr] = meas[starts + m_arr - 1]
+    parity = np.bitwise_xor.reduceat(flips.view(np.uint64), starts, axis=0)
+    block.errors[rows] ^= parity.view(np.uint8)[:, :n_data]
+    block.win0[rows] = k_arr
+    block.win1[rows] = k_arr + m_arr
 
 
 class OnlineShot(StreamingShotState):
@@ -417,10 +551,9 @@ class OnlineShot(StreamingShotState):
     the decode service's micro-batching scheduler
     (:mod:`repro.service.scheduler`): everything one trial owns — the
     engine, its resumable Controller generator, the physical error
-    state, the previous raw syndrome, the pending correction
-    compensation, the wall clock and the noise substream — bundled so
-    shots can be **added to or removed from a running batch between
-    rounds**.  :func:`advance_streaming_round` advances a roster of
+    state, the event window, the wall clock and the noise substream —
+    bundled so shots can be **added to or removed from a running batch
+    between rounds**.  :func:`advance_streaming_round` advances a roster of
     shots on one block in lock-step; a shot fed one round at a time
     evolves bit-identically to :func:`run_online_trial` on the same
     seed, whatever other shots share its batches.
@@ -440,12 +573,13 @@ class OnlineShot(StreamingShotState):
         noise: NoiseModel,
         n_rounds: int,
         config: OnlineConfig,
-        rng: np.random.Generator | int | None,
+        rng: np.random.Generator | int | tuple[int, int] | None,
         block: StreamingBlock,
         engine: QecoolEngine | None = None,
         batch: QecoolEngineBatch | None = None,
+        row: int | None = None,
     ):
-        super().__init__(lattice, noise, n_rounds, rng, block)
+        super().__init__(lattice, noise, n_rounds, rng, block, row)
         self.config = config
         self._budget = config.cycles_per_interval
         self._unconstrained = math.isinf(self._budget)
@@ -517,20 +651,15 @@ class OnlineShot(StreamingShotState):
         )
         return self.outcome
 
-    def step(
-        self, events_row: np.ndarray, empty: bool
-    ) -> tuple[str, np.ndarray | None]:
+    def step(self, events_row: np.ndarray, empty: bool) -> str:
         """Consume round ``k``'s detection events on the scalar engine;
         decode under the clock.
 
-        ``events_row`` is the round's detection-event layer, already
-        XOR-folded against ``prev_raw``/``compensation`` by the caller
-        (:func:`advance_streaming_round`, which also batch-updates
-        those rows; ``empty`` flags an all-zero layer).  Returns
-        ``(status, correction)`` with status ``"running"``/``"done"``/
-        ``"overflow"``; a non-None correction has been applied to
-        ``error`` and still needs its compensation syndrome (batched by
-        the caller into ``compensation``).  Shots on a batch-engine
+        ``events_row`` is the round's detection-event layer, read from
+        the row's event window by :func:`advance_streaming_round`
+        (``empty`` flags an all-zero layer).  Returns the status
+        ``"running"``/``"done"``/``"overflow"``; a correction the decode
+        commits is applied to ``error`` here.  Shots on a batch-engine
         lane never come here: the round advances them in
         :func:`_advance_batch_rows`.
         """
@@ -552,7 +681,7 @@ class OnlineShot(StreamingShotState):
                         max(float(block.wall[row]), k * self._budget) + cost
                     )
                 block.k[row] = k + 1
-                return "running", None
+                return "running"
             absorbed = engine.try_push_empty_idle()
             if absorbed:
                 if not self._unconstrained:
@@ -560,13 +689,13 @@ class OnlineShot(StreamingShotState):
                         float(block.wall[row]), k * self._budget
                     )
                 block.k[row] = k + 1
-                return "running", None
+                return "running"
             if absorbed is False:
                 self._overflow_outcome()
-                return "overflow", None
+                return "overflow"
         if not engine.push_layer(events_row):
             self._overflow_outcome()
-            return "overflow", None
+            return "overflow"
         # An unconstrained row keeps wall 0 (as on batch lanes): only a
         # finite clock does wall arithmetic, so nothing multiplies into
         # ``inf``.
@@ -593,11 +722,9 @@ class OnlineShot(StreamingShotState):
         consumed = int(block.consumed[row])
         new_matches = engine.matches[consumed:]
         block.consumed[row] = len(engine.matches)
-        correction = None
         if new_matches:
-            correction = correction_from_matches(self.lattice, new_matches)
-            self.error ^= correction
-        return ("done" if final else "running"), correction
+            self.error ^= correction_from_matches(self.lattice, new_matches)
+        return "done" if final else "running"
 
     def finish_pair(self) -> tuple[np.ndarray, np.ndarray | None]:
         """(final error, correction) for the batched logical-failure
@@ -683,8 +810,6 @@ def _advance_batch_rows(
     nonempty: np.ndarray,
     done: list,
     finished: list,
-    corrected_rows: list[int],
-    corrections: list[np.ndarray],
 ) -> None:
     """One round's engine advance for every lane of one batch engine,
     with the session state vectorized over the shots' slab rows.
@@ -697,7 +822,8 @@ def _advance_batch_rows(
     wall product so an unconstrained row never multiplies into
     ``inf``).  The only per-shot Python left on the running path is
     correction materialisation for lanes whose match list actually
-    grew, and outcome construction for shots that drop out.
+    grew (XORed into the error rows), and outcome construction for
+    shots that drop out.
     """
     r = rows[idx]
     k = kk[idx]
@@ -784,14 +910,10 @@ def _advance_batch_rows(
     consumed = block.consumed[rd]
     changed = np.flatnonzero(counts != consumed)
     for j in changed.tolist():
-        shot = shots[idx[pi[j]]]
         new_matches = batch.matches_of(int(pl[j]))[int(consumed[j]):]
-        correction = correction_from_matches(shot.lattice, new_matches)
-        row = int(rd[j])
-        np.bitwise_xor(block.errors[row], correction, out=block.errors[row])
-        if not dfinal[j]:
-            corrected_rows.append(row)
-            corrections.append(correction)
+        block.errors[int(rd[j])] ^= correction_from_matches(
+            block.lattice, new_matches
+        )
     if changed.size:
         block.consumed[rd[changed]] = counts[changed]
     for j in np.flatnonzero(dfinal).tolist():
@@ -818,13 +940,14 @@ def advance_streaming_round(
     """Advance every shot of ``roster`` one measurement round, batched
     across shots.
 
-    The micro-batching kernel: per-round noise sampling (each shot's
-    own substream and rates — shots may sit at *different* round
-    indices, carry different noise models, clocks and round budgets),
-    syndrome extraction, detection-event folding,
-    correction-compensation syndromes *and the per-session state
-    bookkeeping* (round cursors, wall clocks, idle flags,
-    consumed-match cursors) each run as one vectorized pass over the
+    The micro-batching kernel: the round's detection events (each
+    shot's own stream and rates — shots may sit at *different* round
+    indices, carry different noise models, clocks and round budgets)
+    are one gather from the rows' event windows, after one
+    :func:`fill_windows` pass over every row whose cursor reached the
+    end of its window (a new row's first window included), and *the
+    per-session state bookkeeping* (round cursors, wall clocks, idle
+    flags, consumed-match cursors) runs as vectorized passes over the
     roster's slab rows in ``roster.block``.  Membership is free to
     change between calls — build a new :class:`StreamingRoster`, as
     the decode service's scheduler does — and every shot's evolution
@@ -848,34 +971,16 @@ def advance_streaming_round(
     if not shots:
         return [], []
     block = roster.block
-    lattice = block.lattice
     if tracer is not None:
         t = tracer.clock()
     rows = roster.rows
     kk = block.k[rows]
-    n_data = lattice.n_data
-    errors = block.errors[rows]
-    nidx = np.flatnonzero(kk < block.rounds[rows])
-    if nidx.size:
-        # Per-round noise, gathered from the rows' noise windows; a row
-        # whose cursor enters a new window refills it first.
-        sel = rows[nidx]
-        ksel = kk[nidx]
-        slot = ksel % block.noise_window
-        for j in np.flatnonzero((slot == 0) & (ksel > 0)).tolist():
-            shots[int(nidx[j])].refill(int(ksel[j]))
-        uniforms = block.u[sel, slot]
-        pq = block.pq[sel, slot]
-        data_flips = (uniforms[:, :n_data] < pq[:, 0:1]).view(np.uint8)
-        meas_flips = (uniforms[:, n_data:] < pq[:, 1:2]).view(np.uint8)
-        errors[nidx] ^= data_flips
-        block.errors[sel] = errors[nidx]
-    raws = lattice.syndrome_of_batch(errors)
-    if nidx.size:
-        raws[nidx] ^= meas_flips
-    events = raws ^ block.prev[rows] ^ block.comp[rows]
-    block.prev[rows] = raws
-    block.comp[rows] = 0
+    refill = np.flatnonzero((kk == block.win1[rows]) & (kk < block.rounds[rows]))
+    if refill.size:
+        fill_windows(
+            block, [shots[i] for i in refill.tolist()], kk[refill].tolist()
+        )
+    events = block.events[rows, kk - block.win0[rows]]
     nonempty = events.any(axis=1)
     if tracer is not None:
         now = tracer.clock()
@@ -884,12 +989,10 @@ def advance_streaming_round(
 
     done: list = []
     finished: list = []
-    corrected_rows: list[int] = []
-    corrections: list[np.ndarray] = []
     for batch, idx, lanes in roster.parts:
         _advance_batch_rows(
             batch, block, shots, rows, kk, idx, lanes, events, nonempty,
-            done, finished, corrected_rows, corrections,
+            done, finished,
         )
     if tracer is not None:
         now = tracer.clock()
@@ -898,22 +1001,15 @@ def advance_streaming_round(
         t = now
     for i in roster.object_idx:
         shot = shots[i]
-        status, correction = shot.step(events[i], not nonempty[i])
+        status = shot.step(events[i], not nonempty[i])
         if status == "overflow":
             finished.append(shot)
-            continue
-        if correction is not None and status == "running":
-            corrected_rows.append(shot.row)
-            corrections.append(correction)
-        if status == "done":
+        elif status == "done":
             done.append(shot)
     if tracer is not None and len(roster.object_idx):
         tracer.add("round.scalar_advance", t, tracer.clock() - t)
-    if corrections:
-        comp_rows = lattice.syndrome_of_batch(np.stack(corrections))
-        block.comp[np.asarray(corrected_rows, dtype=np.intp)] = comp_rows
     if done:
-        _finalize_done(lattice, done)
+        _finalize_done(block.lattice, done)
         finished.extend(done)
     if not finished:
         return list(shots), []
@@ -934,11 +1030,11 @@ def run_online_chunk(
     **Bit-identical** to calling :func:`run_online_trial` once per
     generator in ``rngs`` (covered by ``tests/test_online.py``): each
     shot keeps its own wall clock and noise substream
-    (:class:`OnlineShot`), but the per-round heavy lifting — noise
-    sampling, syndrome extraction, event folding, correction
-    compensation *and the engine advance itself* — runs batched over
-    the still-active shots: one :class:`~repro.core.engine_batch.
-    QecoolEngineBatch` lane per shot, decoded in lock-step (chunks
+    (:class:`OnlineShot`), but the heavy lifting — noise sampling and
+    event derivation per window, *the engine advance itself* per
+    round — runs batched over the still-active shots: one
+    :class:`~repro.core.engine_batch.QecoolEngineBatch` lane per shot,
+    decoded in lock-step (chunks
     below :data:`BATCH_ENGINE_CUTOFF` keep the scalar per-shot
     engines).  Shots drop out of the batch when their Reg overflows,
     exactly where their per-shot trial would return.

@@ -14,7 +14,8 @@ is bit-identical to running alone whatever traffic shares its batches.
 Capacity control:
 
 - ``max_active`` bounds concurrently-decoding sessions; excess
-  submissions wait in a FIFO admission queue,
+  submissions wait in a FIFO admission queue, which each step admits
+  as one wave (:meth:`MicroBatchScheduler._admit_wave`),
 - ``max_queue`` bounds that queue; beyond it :meth:`submit` raises
   :class:`Backpressure` (the transport layer reports the drop to the
   client, the metrics core counts it),
@@ -53,6 +54,7 @@ from repro.core.online import (
     StreamingBlock,
     StreamingRoster,
     advance_streaming_round,
+    fill_windows,
 )
 from repro.core.window import SlidingWindowDecoder
 from repro.experiments.montecarlo import resolve_noise
@@ -65,6 +67,7 @@ from repro.service.session import (
     WindowShot,
 )
 from repro.surface_code.lattice import PlanarLattice
+from repro.util.rng import pcg64_states
 
 __all__ = [
     "BATCH_EVENT_CUTOFF",
@@ -247,7 +250,7 @@ class MicroBatchScheduler:
                 id=self._next_id, spec=spec, submitted_at=self._clock()
             )
             self._next_id += 1
-            self._admit(session)
+            self._admit_wave([session])
             return session
         if len(self._queue) >= self.config.max_queue:
             self.metrics.record_reject()
@@ -296,12 +299,9 @@ class MicroBatchScheduler:
         if len(pool) < ENGINE_POOL_PER_SHAPE:
             pool.append(engine.reset())
 
-    def _admit(self, session: DecodeSession) -> None:
-        spec = session.spec
-        lattice = self._lattice(spec.shape_key)
-        group = self._groups.get(spec.shape_key)
-        if group is None:
-            group = self._groups[spec.shape_key] = _ShapeGroup(lattice)
+    def _operating_point(self, spec: SessionSpec, lattice: PlanarLattice):
+        """``(noise model, dense)`` of a spec: its resolved noise and,
+        for online sessions, whether it dispatches to a batch lane."""
         # Noise models are frozen and admission-invariant: resolve each
         # distinct operating point once.  Unhashable noise_params values
         # (JSON lists are legal) skip the cache rather than fail.
@@ -327,49 +327,92 @@ class MicroBatchScheduler:
                 if len(self._noise_cache) >= _CACHE_BOUND:
                     self._noise_cache.clear()
                 self._noise_cache[noise_key] = noise
-        block = group.block
-        capacity_before = block.capacity
-        if spec.mode == "online":
-            # Expected detection events per round (a data flip trips up
-            # to two ancillas, a measurement flip one now and one next
-            # round) at the middle round(s)' rates: the stream's mean for
-            # constant and linear rates alike, at O(1) cost in n_rounds.
-            # Python sums: a numpy reduction would cost more than the rest.
-            n = spec.rounds
-            data, meas = noise.rates(n, (n - 1) // 2, n // 2 + 1)
-            events = (
-                2 * lattice.n_data * sum(data.tolist())
-                + 2 * lattice.n_ancillas * sum(meas.tolist())
-            ) / len(data)
-            dense = events >= BATCH_EVENT_CUTOFF
-            session.shot = OnlineShot(
-                lattice, noise, spec.rounds, spec.online_config(),
-                rng=spec.seed,
-                batch=self._batch_for(spec, lattice) if dense else None,
-                engine=(
-                    None if dense else self._scalar_engine_for(spec, lattice)
-                ),
-                block=block,
+        if spec.mode != "online":
+            return noise, False
+        # Expected detection events per round (a data flip trips up to
+        # two ancillas, a measurement flip one now and one next round)
+        # at the middle round(s)' rates: the stream's mean for constant
+        # and linear rates alike, at O(1) cost in n_rounds.  Python
+        # sums: a numpy reduction would cost more than the rest.
+        n = spec.rounds
+        data, meas = noise.rates(n, (n - 1) // 2, n // 2 + 1)
+        events = (
+            2 * lattice.n_data * sum(data.tolist())
+            + 2 * lattice.n_ancillas * sum(meas.tolist())
+        ) / len(data)
+        return noise, events >= BATCH_EVENT_CUTOFF
+
+    def _admit_wave(self, sessions: list[DecodeSession]) -> None:
+        """Admit ``sessions`` together: per shape group one slab
+        allocation (at most one grow and one ``rebind`` sweep), per
+        operating point one noise resolution and dispatch estimate,
+        and every integer seed hashed to its PCG64 state in one
+        vectorized pass (:func:`repro.util.rng.pcg64_states`); then one
+        :func:`~repro.core.online.fill_windows` pass per group draws
+        every new row's first window with the block's one ``PCG64``
+        and derives its detection events."""
+        states = pcg64_states([session.spec.seed for session in sessions])
+        shapes: dict[int, list[int]] = {}
+        for i, session in enumerate(sessions):
+            shapes.setdefault(session.spec.shape_key, []).append(i)
+        now = self._clock()
+        for d, members in shapes.items():
+            lattice = self._lattice(d)
+            group = self._groups.get(d)
+            if group is None:
+                group = self._groups[d] = _ShapeGroup(lattice)
+            block = group.block
+            capacity_before = block.capacity
+            rows = block.alloc(len(members))
+            if block.capacity != capacity_before:
+                # The alloc grew the slab: refresh every live view.
+                for other in group.sessions:
+                    other.shot.rebind()
+            points: dict = {}
+            for i, row in zip(members, rows):
+                session = sessions[i]
+                spec = session.spec
+                key = (spec.noise, spec.p, spec.q, spec.rounds, spec.mode)
+                point = points.get(key) if spec.noise_params is None else None
+                if point is None:
+                    point = self._operating_point(spec, lattice)
+                    if spec.noise_params is None:
+                        points[key] = point
+                noise, dense = point
+                if spec.mode == "online":
+                    session.shot = OnlineShot(
+                        lattice, noise, spec.rounds, spec.online_config(),
+                        rng=states[i],
+                        batch=self._batch_for(spec, lattice) if dense else None,
+                        engine=(
+                            None
+                            if dense
+                            else self._scalar_engine_for(spec, lattice)
+                        ),
+                        block=block,
+                        row=row,
+                    )
+                else:
+                    session.shot = WindowShot(
+                        lattice, noise, spec.rounds,
+                        SlidingWindowDecoder(
+                            window=spec.window, commit=spec.commit
+                        ),
+                        rng=states[i],
+                        block=block,
+                        row=row,
+                    )
+                session.shot.owner = session
+                session.state = SessionState.ACTIVE
+                session.admitted_at = now
+                group.sessions.append(session)
+                self.metrics.record_admit()
+            fill_windows(
+                block, [sessions[i].shot for i in members], [0] * len(members)
             )
-        else:
-            session.shot = WindowShot(
-                lattice, noise, spec.rounds,
-                SlidingWindowDecoder(window=spec.window, commit=spec.commit),
-                rng=spec.seed,
-                block=block,
-            )
-        if block.capacity != capacity_before:
-            # The alloc grew the slab: refresh every live view.
-            for other in group.sessions:
-                other.shot.rebind()
-        session.shot.owner = session
-        session.state = SessionState.ACTIVE
-        session.admitted_at = self._clock()
-        group.sessions.append(session)
-        group.roster = None  # membership changed
-        self._idle.pop(spec.shape_key, None)
-        self._n_active += 1
-        self.metrics.record_admit()
+            group.roster = None  # membership changed
+            self._idle.pop(d, None)
+        self._n_active += len(sessions)
 
     # ------------------------------------------------------------------
     # The micro-batch advance
@@ -386,8 +429,10 @@ class MicroBatchScheduler:
                 time.sleep(delay)
         started = self._clock()
         tracer = self.tracer  # None when off: one attribute read per phase
-        while self._queue and self._n_active < self.config.max_active:
-            self._admit(self._queue.popleft())
+        room = min(len(self._queue), self.config.max_active - self._n_active)
+        if room > 0:
+            queue = self._queue
+            self._admit_wave([queue.popleft() for _ in range(room)])
         if tracer is not None:
             t = self._clock()
             tracer.add("scheduler.admit", started, t - started)

@@ -141,15 +141,23 @@ class SessionSpec:
         ``step()`` (e.g. an engine exceeding ``MAX_LAYERS`` stored
         layers) must be rejected at admission instead.
         """
+        # Exact ``int``/``float`` (what JSON decodes to) pass on a type
+        # test; anything else takes the ``numbers`` ABC checks.
         for name in ("d", "seed", "n_rounds", "thv", "reg_size", "window", "commit"):
             value = getattr(self, name)
-            if value is None and name in ("n_rounds", "reg_size"):
+            if type(value) is int or (
+                value is None and name in ("n_rounds", "reg_size")
+            ):
                 continue
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("p", "q", "frequency_hz", "measurement_interval_s"):
             value = getattr(self, name)
-            if value is None and name in ("q", "frequency_hz"):
+            kind = type(value)
+            if kind is float:
+                if math.isfinite(value):
+                    continue
+            elif kind is int or (value is None and name in ("q", "frequency_hz")):
                 continue
             # Python ints are finite but may overflow a float conversion.
             if (
@@ -323,9 +331,9 @@ class WindowShot(StreamingShotState):
     Extends :class:`repro.core.online.StreamingShotState` so window
     sessions ride the same
     :func:`~repro.core.online.advance_streaming_round` micro-batches
-    as online sessions: per-round noise sampling and syndrome
-    extraction are shared with the batch, detection-event layers are
-    accumulated, and the windowed decode runs once at end of stream
+    as online sessions: their event windows are drawn and derived with
+    the batch's, each round's detection-event layer is accumulated,
+    and the windowed decode runs once at end of stream
     (during the batched failure check).  The event stream it decodes is
     exactly the batch-setting stream of
     :class:`repro.surface_code.syndrome.SyndromeBatch` on the same
@@ -342,20 +350,21 @@ class WindowShot(StreamingShotState):
         noise: NoiseModel,
         n_rounds: int,
         decoder: SlidingWindowDecoder,
-        rng: np.random.Generator | int | None,
+        rng: np.random.Generator | int | tuple[int, int] | None,
         block: StreamingBlock,
+        row: int | None = None,
     ):
-        super().__init__(lattice, noise, n_rounds, rng, block)
+        super().__init__(lattice, noise, n_rounds, rng, block, row)
         self.decoder = decoder
         # Noisy rounds plus the perfect terminal round.
         self._layers = np.empty((n_rounds + 1, lattice.n_ancillas), dtype=np.uint8)
         self._result = None
 
-    def step(self, events_row: np.ndarray, empty: bool) -> tuple[str, None]:
+    def step(self, events_row: np.ndarray, empty: bool) -> str:
         """Ingest one detection-event layer; decode happens at the end."""
         self._layers[self.k] = events_row
         self.k += 1
-        return ("done" if self.k == self.n_rounds + 1 else "running"), None
+        return "done" if self.k == self.n_rounds + 1 else "running"
 
     def finish_pair(self) -> tuple[np.ndarray, np.ndarray]:
         """Run the windowed decode; (final error, correction) for the

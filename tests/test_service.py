@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 
 import numpy as np
 import pytest
@@ -161,6 +163,52 @@ class TestSessionSpec:
         spec = SessionSpec(**{"d": 5, "p": 0.01, "seed": 1, **bad})
         with pytest.raises(ValueError):
             spec.validate()
+
+    @staticmethod
+    def abc_type_ok(name, value):
+        """The field type rule, by ``numbers`` ABCs alone."""
+        if value is None:
+            return name in ("n_rounds", "reg_size", "q", "frequency_hz")
+        if isinstance(value, bool):
+            return False
+        if name in ("p", "q", "frequency_hz", "measurement_interval_s"):
+            return isinstance(value, numbers.Real) and (
+                isinstance(value, int) or math.isfinite(value)
+            )
+        return isinstance(value, numbers.Integral)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([
+            "d", "seed", "n_rounds", "thv", "reg_size", "window", "commit",
+            "p", "q", "frequency_hz", "measurement_interval_s",
+        ]),
+        st.one_of(
+            st.booleans(),
+            st.none(),
+            st.integers(-(2**70), 2**70),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.text(max_size=3),
+            st.integers(-100, 100).map(np.int64),
+            st.integers(0, 2**64 - 1).map(np.uint64),
+            st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+            st.floats(width=32).map(np.float32),
+            st.booleans().map(np.bool_),
+        ),
+    )
+    def test_type_checks_match_the_abc_rule(self, name, value):
+        """The exact-type fast path accepts and rejects exactly what the
+        ``numbers`` ABC checks do; a value of the right type may still
+        fail a range check, but never as a type error."""
+        spec = SessionSpec(**{"d": 5, "p": 0.01, "seed": 1, name: value})
+        try:
+            spec.validate()
+            type_error = False
+        except ValueError as exc:
+            type_error = "must be an integer" in str(
+                exc
+            ) or "must be a finite number" in str(exc)
+        assert type_error is not self.abc_type_ok(name, value)
 
     def test_unbounded_reg_accepts_max_layer_budget(self):
         SessionSpec(d=5, p=0.01, seed=1, reg_size=None, n_rounds=63).validate()
@@ -501,6 +549,134 @@ class TestSchedulerLifecycle:
         assert scheduler.pending == 1  # still mid-stream
         scheduler.run_until_idle()
         assert scheduler.pending == 0
+
+
+class TestWaveAdmission:
+    """A step admits its whole queue as one wave: one slab alloc per
+    shape, one noise resolution and dispatch estimate per operating
+    point, every seed hashed in one pass."""
+
+    @staticmethod
+    def mixed_specs():
+        seeds = [0, 7, 2**31 + 1, 2**40 + 3, 2**64 + 9, 2**128, 2**130 + 11]
+        specs = []
+        for i, (d, p, noise, mode, n_rounds) in enumerate([
+            (3, 0.0005, None, "online", 3),
+            (3, 0.05, "drift", "online", 14),
+            (5, 0.01, "depolarizing", "window", 9),
+            (5, 0.05, None, "online", 7),
+            (7, 0.002, "drift", "window", 4),
+            (7, 0.03, None, "online", 7),
+            (3, 0.03, "depolarizing", "online", 20),
+            (5, 0.0005, "drift", "online", 5),
+            (3, 0.05, None, "window", 13),
+            (7, 0.05, "drift", "online", 3),
+        ] * 2):
+            specs.append(SessionSpec(
+                d=d, p=p, seed=seeds[i % len(seeds)] + i, n_rounds=n_rounds,
+                mode=mode, noise=noise, window=3, commit=1,
+                frequency_hz=(2.0e9, None, 0.5e9)[i % 3],
+            ))
+        return specs
+
+    def test_mixed_wave_matches_references(self, monkeypatch):
+        """Distances, operating points, noise families, both modes,
+        seeds past 2**128 and streams crossing several refills (a
+        window of 1-6 rounds here), all admitted in one step."""
+        monkeypatch.setattr(online_module, "NOISE_WINDOW_DOUBLES", 128)
+        scheduler = MicroBatchScheduler(
+            SchedulerConfig(max_active=64, max_queue=64)
+        )
+        specs = self.mixed_specs()
+        sessions = [scheduler.submit(spec) for spec in specs]
+        scheduler.step()
+        assert scheduler.n_queued == 0
+        assert scheduler.n_active + len(
+            [s for s in sessions if s.state is SessionState.DONE]
+        ) == len(specs)
+        assert any(
+            spec.rounds > scheduler._groups[spec.d].block.noise_window
+            for spec in specs
+        )
+        scheduler.run_until_idle()
+        for session in sessions:
+            assert_session_matches_reference(session)
+
+    def test_one_submit_per_spec_and_one_lane_per_dense_session(
+        self, monkeypatch
+    ):
+        """What the traced e2e ledger counts: ``scheduler.dense_share``
+        is lane allocations over submits."""
+        from repro.core.engine_batch import QecoolEngineBatch
+
+        calls = {"submit": 0, "alloc_lane": 0}
+
+        def counting(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(MicroBatchScheduler, "submit")
+        counting(QecoolEngineBatch, "alloc_lane")
+        scheduler = MicroBatchScheduler(SchedulerConfig(max_active=64))
+        for i in range(6):
+            scheduler.submit(SessionSpec(d=9, p=0.0005, seed=i))
+        scheduler.step()
+        assert calls == {"submit": 6, "alloc_lane": 0}
+        for i in range(4):
+            scheduler.submit(SessionSpec(d=9, p=0.005, seed=10 + i))
+        scheduler.step()
+        assert calls == {"submit": 10, "alloc_lane": 4}
+        scheduler.run_until_idle()
+
+    def test_integer_seeds_build_no_generator(self, monkeypatch):
+        def refuse(seed):
+            raise AssertionError("make_rng called for an integer seed")
+
+        monkeypatch.setattr(online_module, "make_rng", refuse)
+        scheduler = MicroBatchScheduler(SchedulerConfig(max_active=8))
+        sessions = [
+            scheduler.submit(SessionSpec(d=5, p=0.03, seed=40 + i))
+            for i in range(8)
+        ]
+        scheduler.run_until_idle()
+        monkeypatch.undo()  # the reference trial builds its generator
+        for session in sessions:
+            assert_session_matches_trial(session)
+
+    def test_co_admitted_long_streams_refill_on_spread_rounds(
+        self, monkeypatch
+    ):
+        """Each stream longer than one window starts with a window
+        shortened by its own phase, so 64 streams admitted together do
+        not all refill on the same step."""
+        refills = []
+        fill = online_module.fill_windows
+
+        def recording(block, shots, ks):
+            refills.append(sum(k > 0 for k in ks))
+            fill(block, shots, ks)
+
+        monkeypatch.setattr(online_module, "fill_windows", recording)
+        scheduler = MicroBatchScheduler(
+            SchedulerConfig(max_active=64, max_queue=64)
+        )
+        sessions = [
+            scheduler.submit(
+                SessionSpec(d=9, p=0.001, seed=500 + i, n_rounds=1000)
+            )
+            for i in range(64)
+        ]
+        scheduler.run_until_idle()
+        window = scheduler._groups[9].block.noise_window
+        assert max(refills) <= math.ceil(64 / window) + 1
+        assert sum(refills) >= 64 * (1000 // window - 1)
+        for session in sessions:
+            assert_session_matches_trial(session)
 
 
 class TestWindowSessions:
