@@ -140,7 +140,7 @@ def _drain_batch(lattice, streams):
     start = time.perf_counter()
     batch = QecoolEngineBatch(lattice, capacity=len(streams))
     lanes = np.fromiter(
-        (batch.alloc_lane() for _ in streams), np.int64, len(streams)
+        (batch.alloc_lane(-1, None) for _ in streams), np.int64, len(streams)
     )
     for t in range(stacked.shape[1]):
         batch.push_layers(lanes, stacked[:, t])

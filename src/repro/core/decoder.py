@@ -82,11 +82,10 @@ class QecoolDecoder(Decoder):
             # both the shape contract and the scalar fallback).
             return super().decode_batch(lattice, events)
         shots = events.shape[0]
-        batch = QecoolEngineBatch(
-            lattice, thv=self.thv, nlimit=self.nlimit, capacity=shots
-        )
+        batch = QecoolEngineBatch(lattice, capacity=shots)
         lanes = np.fromiter(
-            (batch.alloc_lane() for _ in range(shots)), np.int64, shots
+            (batch.alloc_lane(self.thv, None, self.nlimit) for _ in range(shots)),
+            np.int64, shots,
         )
         for t in range(events.shape[1]):
             batch.push_layers(lanes, events[:, t])

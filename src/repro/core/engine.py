@@ -487,32 +487,6 @@ class QecoolEngine:
         self.m += 1
         return True
 
-    def reset(self) -> "QecoolEngine":
-        """Restore the just-constructed state, keeping geometry tables.
-
-        Session-recycling entry for the decode service's engine pool: a
-        retired session's engine is reset and reused for the next
-        admission with the same ``(lattice, thv, reg_size)`` shape
-        instead of re-running ``__init__`` (array allocation).  Any
-        outstanding :meth:`run` generator must be discarded by the
-        caller.  Returns ``self``.
-        """
-        self._masks.fill(0)
-        self._mask_ints = [0] * self.lattice.n_ancillas
-        self._live.clear()
-        self._live_arr = None
-        self._l0 = 0
-        self.m = 0
-        self.popped = 0
-        self._row_counts = [0] * self.lattice.rows
-        self._winner_cache = {}
-        self.cycles = 0
-        self._cycles_at_last_pop = 0
-        self.layer_cycles = []
-        self.matches = []
-        self._drain = False
-        return self
-
     @property
     def defects_remaining(self) -> int:
         """Unmatched detection events currently stored."""

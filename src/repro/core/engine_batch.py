@@ -1,16 +1,25 @@
 """Shot-major batched QECOOL engine: one state slab, lane-parallel sweeps.
 
 :class:`QecoolEngineBatch` simulates many independent :class:`
-~repro.core.engine.QecoolEngine` machines ("lanes") of one shape
-``(lattice, thv, reg_size, nlimit)`` at once.  All Unit state lives in
-shot-major slabs — ``(S, N)`` uint64 Reg masks, ``(S,)`` clock/layer
-registers, ``(S, rows)`` row-occupancy counts, an ``(S, N, L)``
-packed-key winner slab — and the Controller phases (shift-detection
-pops, the sink survey, analytic budget growth, token sweeps) advance
-**every live lane in lock-step** as whole-batch numpy passes, with
-per-lane divergence handled by boolean lane masks: idle, retired and
-deadline-suspended lanes simply drop out of the index vectors instead
-of being looped over.
+~repro.core.engine.QecoolEngine` machines ("lanes") on one lattice at
+once.  All Unit state lives in shot-major slabs — ``(S, N)`` uint64 Reg
+masks, ``(S,)`` clock/layer registers, ``(S, rows)`` row-occupancy
+counts, an ``(S, N, L)`` packed-key winner slab — and the Controller
+phases (shift-detection pops, the sink survey, analytic budget growth,
+token sweeps) advance **every live lane in lock-step** as whole-batch
+numpy passes, with per-lane divergence handled by boolean lane masks:
+idle, retired and deadline-suspended lanes simply drop out of the index
+vectors instead of being looped over.
+
+The operating point is lane state too: :meth:`QecoolEngineBatch
+.alloc_lane` stamps each lane's ``thv``, ``reg_size`` and ``nlimit``
+into ``(S,)`` arrays that every phase reads per lane, so lanes at
+different operating points share one engine and one lock-step pass.
+``thv`` is stored as ``min(thv, MAX_LAYERS)``, which is exact: at most
+:data:`~repro.core.engine.MAX_LAYERS` layers are stored, so outside
+drain the wait gate ``m - b > thv`` and the exposed depth ``m - thv``
+read the same for every ``thv >= MAX_LAYERS`` (and an unbounded
+client ``thv`` never meets an int64 slab).
 
 Bit-identity contract (see ``tests/README.md``): every lane reproduces
 the scalar engine's observable stream exactly — matches (objects and
@@ -82,42 +91,21 @@ LANE_RETIRED = 2
 
 
 class QecoolEngineBatch:
-    """Lane-parallel QECOOL machines of one ``(lattice, thv, reg_size)``.
+    """Lane-parallel QECOOL machines on one lattice.
 
-    Lanes are claimed with :meth:`alloc_lane` and returned with
-    :meth:`free_lane`; a freed lane is reset and may be reused by a
-    later admission (the decode service's lane allocator does exactly
-    that).  All lanes share the engine shape; per-lane clocks and round
-    budgets are the caller's business — :meth:`decode` takes per-lane
-    wall/deadline vectors and charges them action by action.
+    Lanes are claimed with :meth:`alloc_lane`, which sets the lane's
+    operating point (``thv``, ``reg_size``, ``nlimit``), and returned
+    with :meth:`free_lane`; a freed lane is reset and may be reused by a
+    later admission at any operating point (the decode service keeps
+    one engine per lattice and does exactly that).  Per-lane clocks and
+    round budgets are the caller's business — :meth:`decode` takes
+    per-lane wall/deadline vectors and charges them action by action.
     """
 
-    def __init__(
-        self,
-        lattice: PlanarLattice,
-        thv: int = -1,
-        reg_size: int | None = None,
-        nlimit: int | None = None,
-        capacity: int = 8,
-    ):
-        if thv < -1:
-            raise ValueError(f"thv must be >= -1, got {thv}")
-        if reg_size is not None and not 1 <= reg_size <= MAX_LAYERS:
-            raise ValueError(
-                f"reg_size must be in [1, {MAX_LAYERS}], got {reg_size}"
-            )
+    def __init__(self, lattice: PlanarLattice, capacity: int = 8):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.lattice = lattice
-        self.thv = thv
-        self.reg_size = reg_size
-        self._depth_hint = reg_size if reg_size is not None else lattice.d + 1
-        self.nlimit = (
-            nlimit
-            if nlimit is not None
-            else lattice.rows + lattice.cols + self._depth_hint + 2
-        )
-        self._stall_limit = self.nlimit + self._depth_hint + 4
         # Geometry tables, shared with the scalar engine's caches.
         self._dist = lattice.pairwise_manhattan
         self._ports = port_table(lattice)
@@ -128,7 +116,9 @@ class QecoolEngineBatch:
         # decode() entirely untimed.
         self.tracer = None
         self.capacity = 0
-        self._n_depths = min(MAX_LAYERS, self._depth_hint + 2)
+        # The winner slab's depth axis; each lane's alloc widens it to
+        # the lane's Reg depth (a cache size only, never observable).
+        self._n_depths = 1
         self._alloc_slabs(capacity)
         self._free: list[int] = list(range(capacity - 1, -1, -1))
 
@@ -161,6 +151,11 @@ class QecoolEngineBatch:
         grow("_win", (capacity, n, nd), np.int64, fill=-1)
         grow("_win_dirty", (capacity,), bool)
         grow("_wall_exact", (capacity,), bool)
+        # Per-lane operating point, set by alloc_lane.
+        grow("_thv", (capacity,), np.int64)
+        grow("_reg", (capacity,), np.int64)
+        grow("_nlimit", (capacity,), np.int64)
+        grow("_stall_limit", (capacity,), np.int64)
         # Per-call scratch, full-capacity so lane ids index directly.
         self._wall_full = np.zeros(capacity, dtype=np.float64)
         self._deadline_full = np.zeros(capacity, dtype=np.float64)
@@ -190,18 +185,41 @@ class QecoolEngineBatch:
         self._win = fresh
         self._n_depths = nd
 
-    def alloc_lane(self) -> int:
-        """Claim a reset lane, growing the slabs when none are free.
+    def alloc_lane(
+        self, thv: int, reg_size: int | None, nlimit: int | None = None
+    ) -> int:
+        """Claim a reset lane at the operating point of a scalar
+        ``QecoolEngine(lattice, thv, reg_size, nlimit)``, growing the
+        slabs when none are free.
 
         Free lanes are kept clean (`free_lane` resets; fresh slabs are
-        zeroed), so claiming is just a pop.
+        zeroed), so claiming is a pop plus the operating point.  An
+        unbounded Reg is stored as depth ``MAX_LAYERS + 1``: never full,
+        so the ``MAX_LAYERS`` guard fires first, as in the scalar engine.
         """
+        if thv < -1:
+            raise ValueError(f"thv must be >= -1, got {thv}")
+        if reg_size is not None and not 1 <= reg_size <= MAX_LAYERS:
+            raise ValueError(
+                f"reg_size must be in [1, {MAX_LAYERS}], got {reg_size}"
+            )
+        lattice = self.lattice
+        depth = reg_size if reg_size is not None else lattice.d + 1
+        if nlimit is None:
+            nlimit = lattice.rows + lattice.cols + depth + 2
         if not self._free:
             old = self.capacity
             self._alloc_slabs(old * 2)
             self._free.extend(range(self.capacity - 1, old - 1, -1))
+        need = min(MAX_LAYERS, depth + 2)
+        if need > self._n_depths:
+            self._grow_depths(need)
         lane = self._free.pop()
         self._in_use[lane] = True
+        self._thv[lane] = min(thv, MAX_LAYERS)
+        self._reg[lane] = MAX_LAYERS + 1 if reg_size is None else reg_size
+        self._nlimit[lane] = nlimit
+        self._stall_limit[lane] = nlimit + depth + 4
         return lane
 
     def free_lane(self, lane: int) -> None:
@@ -294,11 +312,7 @@ class QecoolEngineBatch:
         acceptance mask (``False`` = Reg overflow, layer not stored)."""
         lanes = np.asarray(lanes, dtype=np.int64)
         m = self._m[lanes]
-        ok = (
-            np.ones(len(lanes), dtype=bool)
-            if self.reg_size is None
-            else m < self.reg_size
-        )
+        ok = m < self._reg[lanes]
         sel = lanes[ok]
         if not sel.size:
             return ok
@@ -422,21 +436,20 @@ class QecoolEngineBatch:
         lanes = np.asarray(lanes, dtype=np.int64)
         out = np.full(len(lanes), -1, dtype=np.int8)
         m = self._m[lanes]
-        simulate = self._drain[lanes].copy()
-        if self.reg_size is not None:
-            full = ~simulate & (m >= self.reg_size)
-            out[full] = 0
-        else:
-            full = np.zeros(len(lanes), dtype=bool)
+        simulate = self._drain[lanes]
+        full = ~simulate & (m >= self._reg[lanes])
+        out[full] = 0
         cand = ~simulate & ~full
         if (m[cand] >= MAX_LAYERS).any():
             raise ValueError(
                 f"array engine stores at most {MAX_LAYERS} layers; pop or"
                 " drain before pushing more"
             )
-        if self.thv >= 0 and cand.any():
-            exposed = m - self.thv
-            check = cand & (exposed >= 0)
+        if cand.any():
+            # thv < 0 exposes depth m, beyond any stored event.
+            thv = self._thv[lanes]
+            exposed = m - thv
+            check = cand & (thv >= 0) & (exposed >= 0)
             if check.any():
                 shift = exposed[check].astype(np.uint64)[:, None]
                 hit = ((self._masks[lanes[check]] >> shift) & _ONE).any(axis=1)
@@ -565,7 +578,7 @@ class QecoolEngineBatch:
                 self._stall[top[prog]] = 0
                 lag = top[~prog]
                 self._stall[lag] += 1
-                if (self._stall[lag] > self._stall_limit).any():
+                if (self._stall[lag] > self._stall_limit[lag]).any():
                     raise RuntimeError(
                         "QECOOL engine made no progress over a full budget"
                         " cycle — matching policy bug"
@@ -675,12 +688,9 @@ class QecoolEngineBatch:
         pass, which keeps the slab fresh for the sweep that follows.
         """
         m = self._m[top]
-        if self.thv < 0:
-            b_max = m - 1
-        else:
-            b_max = np.where(
-                self._drain[top], m - 1, np.minimum(m - 1, m - self.thv - 1)
-            )
+        # min(m - 1, m - thv - 1), with the wait lifted in drain.
+        wait = np.where(self._drain[top], 0, np.maximum(self._thv[top], 0))
+        b_max = m - 1 - wait
         n_sinks = np.zeros(len(top), dtype=np.int64)
         has = b_max >= 0
         if not has.any():
@@ -757,7 +767,7 @@ class QecoolEngineBatch:
         grow = need > budget
         if not grow.any():
             return top, b_max
-        target = np.minimum(need, self.nlimit)
+        target = np.minimum(need, self._nlimit[top])
         unconstrained = df[top] == math.inf
         fast = grow & unconstrained
         self._budget[top[fast]] = target[fast]
@@ -961,7 +971,7 @@ class QecoolEngineBatch:
                 finished = cur[done]
                 bump = self._budget[finished]
                 self._budget[finished] = np.where(
-                    bump < self.nlimit, bump + 1, 1
+                    bump < self._nlimit[finished], bump + 1, 1
                 )
                 survivors.extend(finished.tolist())
                 cur = cur[~done]
@@ -1325,12 +1335,12 @@ class QecoolEngineBatch:
             any_match = False
             b += 1
         budget = int(self._budget[lane])
-        self._budget[lane] = budget + 1 if budget < self.nlimit else 1
+        self._budget[lane] = budget + 1 if budget < self._nlimit[lane] else 1
         if progressed:
             self._stall[lane] = 0
         else:
             self._stall[lane] += 1
-            if self._stall[lane] > self._stall_limit:
+            if self._stall[lane] > self._stall_limit[lane]:
                 raise RuntimeError(
                     "QECOOL engine made no progress over a full budget"
                     " cycle — matching policy bug"

@@ -575,7 +575,6 @@ class OnlineShot(StreamingShotState):
         config: OnlineConfig,
         rng: np.random.Generator | int | tuple[int, int] | None,
         block: StreamingBlock,
-        engine: QecoolEngine | None = None,
         batch: QecoolEngineBatch | None = None,
         row: int | None = None,
     ):
@@ -591,16 +590,13 @@ class OnlineShot(StreamingShotState):
             self.block.budget[self.row] = self._budget
             self.block.finite[self.row] = True
         # ``batch`` binds the shot to a lane of a shot-major batch
-        # engine (the fast path of :func:`run_online_chunk` and the
-        # decode service's lane allocator); ``engine`` keeps the scalar
-        # per-shot engine — the oracle and sub-cutoff fallback.
+        # engine at the shot's operating point (the fast path of
+        # :func:`run_online_chunk` and the decode service's dense
+        # sessions); otherwise the shot builds its own scalar engine —
+        # the oracle and sparse-traffic path.
         self._batch = batch
         if batch is not None:
-            if engine is not None:
-                raise ValueError("pass a scalar engine or a batch, not both")
-            if (batch.thv, batch.reg_size) != (config.thv, config.reg_size):
-                raise ValueError("batch engine shape does not match config")
-            self._lane = batch.alloc_lane()
+            self._lane = batch.alloc_lane(config.thv, config.reg_size)
             batch.set_wall_exact(
                 self._lane,
                 self._unconstrained or float(self._budget).is_integer(),
@@ -609,12 +605,8 @@ class OnlineShot(StreamingShotState):
             self._gen = None
         else:
             self._lane = -1
-            # ``engine`` lets a caller recycle a reset engine of the
-            # same (lattice, thv, reg_size) shape instead of allocating.
-            self.engine = (
-                QecoolEngine(lattice, thv=config.thv, reg_size=config.reg_size)
-                if engine is None
-                else engine
+            self.engine = QecoolEngine(
+                lattice, thv=config.thv, reg_size=config.reg_size
             )
             # The resumable Controller: a finite clock freezes decodes
             # mid-sweep at the interval boundary; without a deadline
@@ -749,15 +741,20 @@ class StreamingRoster:
     precomputed.
 
     Building the dispatch — the row gather index, the batch-engine
-    lane groupings, the per-shot ``step`` list — takes a Python pass
-    over the shots.  A roster caches that pass, so a caller advancing
-    the same membership round after round pays it once per membership
-    *change* rather than once per round.  Any membership change —
-    admission, retirement, overflow — invalidates the roster; build a
-    fresh one.
+    lanes, the per-shot ``step`` list — takes a Python pass over the
+    shots.  A roster caches that pass, so a caller advancing the same
+    membership round after round pays it once per membership *change*
+    rather than once per round.  Any membership change — admission,
+    retirement, overflow — invalidates the roster; build a fresh one.
+
+    Every shot must hold a row of the one block, and every lane-bound
+    shot a lane of the one ``batch`` engine (lanes carry their own
+    operating points, so one engine serves a whole block).
     """
 
-    __slots__ = ("block", "shots", "rows", "parts", "object_idx")
+    __slots__ = (
+        "block", "shots", "rows", "batch", "batch_idx", "lanes", "object_idx",
+    )
 
     def __init__(self, block: StreamingBlock, shots: Sequence) -> None:
         self.block = block
@@ -773,28 +770,28 @@ class StreamingRoster:
         self.rows = np.fromiter(
             (s.row for s in self.shots), np.intp, len(self.shots)
         )
-        # Shots bound to a shot-major batch engine advance together,
-        # one vectorized group step per engine; everything else
-        # (scalar-engine online shots, window shots) takes its
-        # per-shot ``step``.
-        groups: dict[int, tuple[QecoolEngineBatch, list[int]]] = {}
+        # Shots bound to the batch engine advance together in one
+        # vectorized step; everything else (scalar-engine online shots,
+        # window shots) takes its per-shot ``step``.
+        self.batch: QecoolEngineBatch | None = None
+        batch_idx: list[int] = []
         object_idx: list[int] = []
         for i, shot in enumerate(self.shots):
             batch = getattr(shot, "_batch", None)
-            if batch is not None:
-                groups.setdefault(id(batch), (batch, []))[1].append(i)
-            else:
+            if batch is None:
                 object_idx.append(i)
-        self.parts = [
-            (
-                batch,
-                np.asarray(idxs, dtype=np.intp),
-                np.fromiter(
-                    (self.shots[i]._lane for i in idxs), np.int64, len(idxs)
-                ),
-            )
-            for batch, idxs in groups.values()
-        ]
+                continue
+            if self.batch is None:
+                self.batch = batch
+            elif batch is not self.batch:
+                raise ValueError(
+                    "every lane-bound shot must share one batch engine"
+                )
+            batch_idx.append(i)
+        self.batch_idx = np.asarray(batch_idx, dtype=np.intp)
+        self.lanes = np.fromiter(
+            (self.shots[i]._lane for i in batch_idx), np.int64, len(batch_idx)
+        )
         self.object_idx = object_idx
 
 
@@ -811,7 +808,7 @@ def _advance_batch_rows(
     done: list,
     finished: list,
 ) -> None:
-    """One round's engine advance for every lane of one batch engine,
+    """One round's engine advance for every lane of the batch engine,
     with the session state vectorized over the shots' slab rows.
 
     A case-for-case mirror of the scalar :meth:`OnlineShot.step` —
@@ -956,7 +953,7 @@ def advance_streaming_round(
 
     The roster's shots may mix any objects implementing the
     streaming-shot protocol (see :class:`StreamingShotState`): shots
-    on a batch-engine lane advance per engine in
+    on a lane of the roster's batch engine advance together in
     :func:`_advance_batch_rows`, every other shot through its own
     ``step``.  Returns ``(running, finished)``; ``running`` preserves
     roster order and finished shots have ``outcome`` set.
@@ -989,14 +986,15 @@ def advance_streaming_round(
 
     done: list = []
     finished: list = []
-    for batch, idx, lanes in roster.parts:
+    batch = roster.batch
+    if batch is not None:
         _advance_batch_rows(
-            batch, block, shots, rows, kk, idx, lanes, events, nonempty,
-            done, finished,
+            batch, block, shots, rows, kk, roster.batch_idx, roster.lanes,
+            events, nonempty, done, finished,
         )
     if tracer is not None:
         now = tracer.clock()
-        if roster.parts:
+        if batch is not None:
             tracer.add("round.batch_advance", t, now - t)
         t = now
     for i in roster.object_idx:
@@ -1045,10 +1043,7 @@ def run_online_chunk(
     rngs = list(rngs)
     block = StreamingBlock(lattice, capacity=max(1, len(rngs)))
     batch = (
-        QecoolEngineBatch(
-            lattice, thv=config.thv, reg_size=config.reg_size,
-            capacity=len(rngs),
-        )
+        QecoolEngineBatch(lattice, capacity=len(rngs))
         if len(rngs) >= BATCH_ENGINE_CUTOFF
         else None
     )

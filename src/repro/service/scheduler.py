@@ -6,10 +6,10 @@ shape (lattice distance — see :attr:`SessionSpec.shape_key`) form a
 **micro-batch group** advanced one measurement round per
 :meth:`~MicroBatchScheduler.step` through
 :func:`repro.core.online.advance_streaming_round`, with admissions and
-retirements happening **between rounds** — the capability PR 3's
-fixed-membership chunk kernel lacked.  Each session keeps its own
-engine, wall clock, noise substream and state-slab row, so its decode
-is bit-identical to running alone whatever traffic shares its batches.
+retirements happening **between rounds**.  Each session keeps its own
+engine state (a scalar engine or a batch-engine lane), operating point,
+wall clock, noise substream and state-slab row, so its decode is
+bit-identical to running alone whatever traffic shares its batches.
 
 Capacity control:
 
@@ -26,19 +26,21 @@ Decode state dispatches by traffic density (both paths bit-identical,
 so dispatch is purely a throughput decision):
 
 - **dense sessions** (expected detection events per round at or above
-  :data:`BATCH_EVENT_CUTOFF`) bind to a lane of a **persistent
-  shot-major batch engine** — one
-  :class:`~repro.core.engine_batch.QecoolEngineBatch` per
-  ``(d, thv, reg_size)`` shape, admission = lane allocation,
-  retirement = lane release, and the whole group's engine advance is
-  one lock-step slab pass;
-- **sparse sessions** keep per-shot scalar engines recycled through a
-  ``(d, thv, reg_size)`` pool (:meth:`QecoolEngine.reset`): their
-  rounds are dominated by the O(1) empty-layer fast entries, which the
-  lock-step machinery cannot beat.
+  :data:`BATCH_EVENT_CUTOFF`) bind to a lane of the group's **one
+  shot-major batch engine**
+  (:class:`~repro.core.engine_batch.QecoolEngineBatch`), built on the
+  group's first dense admission.  Each lane carries its session's
+  ``thv``/``reg_size``, so every operating point shares the engine:
+  admission = lane allocation, retirement = lane release, and the
+  whole group's engine advance is one lock-step slab pass;
+- **sparse sessions** build their own scalar engine: their rounds are
+  dominated by the O(1) empty-layer fast entries, which the lock-step
+  machinery cannot beat.
 
 State rows live in one :class:`~repro.core.online.StreamingBlock` slab
-per group either way.
+per group either way.  Nothing the scheduler keeps is keyed by a
+client-chosen operating point: a group, its block and its engine go
+together when the group is evicted (:data:`MAX_IDLE_SHAPES`).
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-from repro.core.engine import QecoolEngine
 from repro.core.engine_batch import QecoolEngineBatch
 from repro.core.online import (
     OnlineShot,
@@ -80,25 +81,19 @@ __all__ = [
 BATCH_EVENT_CUTOFF = 0.5
 """Expected detection events per round **at or above which** (dispatch
 compares with ``>=``, so at-cutoff sessions are dense) a session decodes
-on a batch-engine lane instead of a pooled scalar engine.  A heuristic
+on a batch-engine lane instead of its own scalar engine.  A heuristic
 dispatch only — both paths are bit-identical.  Re-measured after the
 session layer went slab-native: the lock-step lanes now win from ~0.6
 expected events/round upward (d=9, p>=0.00075), but at near-idle
 densities the scalar engine's O(1) empty-round fast entries still beat
 the batch engine's fixed per-decode slab cost, so sparse traffic keeps
-pooled scalar engines — whose session state, noise draws, and syndrome
-passes ride the same slabs either way."""
-
-
-ENGINE_POOL_PER_SHAPE = 256
-"""Initial lanes of each shape's batch engine (it grows on demand, so
-this is a pre-allocation hint) and the bound on recycled scalar engines
-kept per shape."""
+scalar engines — whose session state, noise draws, and syndrome passes
+ride the same slabs either way."""
 
 
 MAX_IDLE_SHAPES = 8
-"""Fully drained shape groups (state slab, cached lattice, engine
-pools) kept warm for re-admission, least recently drained evicted
+"""Fully drained shape groups (state slab, batch engine, cached
+lattice) kept warm for re-admission, least recently drained evicted
 first."""
 
 
@@ -142,18 +137,30 @@ class SchedulerConfig:
 class _ShapeGroup:
     """One micro-batch: the active sessions sharing a lattice.
 
+    ``engine`` is the group's one batch engine, built on its first
+    dense admission at the block's capacity and grown by lane
+    allocation; its lanes serve every dense operating point.
     ``roster`` caches the batch's per-round dispatch structure
     (:class:`~repro.core.online.StreamingRoster`); it is dropped on any
     membership change (admission, retirement) and lazily rebuilt on the
     next :meth:`MicroBatchScheduler.step`.
     """
 
-    __slots__ = ("block", "sessions", "roster")
+    __slots__ = ("block", "engine", "sessions", "roster")
 
     def __init__(self, lattice: PlanarLattice):
         self.block = StreamingBlock(lattice, capacity=64)
+        self.engine: QecoolEngineBatch | None = None
         self.sessions: list[DecodeSession] = []
         self.roster: StreamingRoster | None = None
+
+    def batch_engine(self, tracer: Tracer | None) -> QecoolEngineBatch:
+        """The group's batch engine, built on first use."""
+        if self.engine is None:
+            block = self.block
+            self.engine = QecoolEngineBatch(block.lattice, block.capacity)
+            self.engine.tracer = tracer
+        return self.engine
 
 
 class MicroBatchScheduler:
@@ -191,15 +198,10 @@ class MicroBatchScheduler:
         self._queue: deque[DecodeSession] = deque()
         self._groups: dict[int, _ShapeGroup] = {}
         self._lattices: dict[int, PlanarLattice] = {}
-        # Persistent batch engine per (d, thv, reg_size) for dense
-        # sessions (admission = lane allocation, retirement = lane
-        # release) and a recycled scalar-engine pool for sparse ones.
-        self._engine_pool: dict[tuple, QecoolEngineBatch] = {}
-        self._scalar_pool: dict[tuple, list[QecoolEngine]] = {}
         self._noise_cache: dict[tuple, object] = {}
         # Insertion-ordered set of shape keys whose groups have fully
         # drained, oldest first — the LRU over which `MAX_IDLE_SHAPES`
-        # bounds the slabs/lattices/engine pools kept warm.
+        # bounds the slabs/engines/lattices kept warm.
         self._idle: dict[int, None] = {}
         self._n_active = 0
         self._next_id = 1
@@ -269,35 +271,6 @@ class MicroBatchScheduler:
         if lattice is None:
             lattice = self._lattices[d] = PlanarLattice(d)
         return lattice
-
-    def _batch_for(
-        self, spec: SessionSpec, lattice: PlanarLattice
-    ) -> QecoolEngineBatch:
-        key = (spec.d, spec.thv, spec.reg_size)
-        batch = self._engine_pool.get(key)
-        if batch is None:
-            batch = self._engine_pool[key] = QecoolEngineBatch(
-                lattice, thv=spec.thv, reg_size=spec.reg_size,
-                capacity=min(ENGINE_POOL_PER_SHAPE, self.config.max_active),
-            )
-            batch.tracer = self.tracer
-        return batch
-
-    def _scalar_engine_for(
-        self, spec: SessionSpec, lattice: PlanarLattice
-    ) -> QecoolEngine:
-        pool = self._scalar_pool.get((spec.d, spec.thv, spec.reg_size))
-        if pool:
-            return pool.pop()
-        engine = QecoolEngine(lattice, thv=spec.thv, reg_size=spec.reg_size)
-        engine.tracer = self.tracer
-        return engine
-
-    def _recycle_scalar(self, spec: SessionSpec, engine: QecoolEngine) -> None:
-        key = (spec.d, spec.thv, spec.reg_size)
-        pool = self._scalar_pool.setdefault(key, [])
-        if len(pool) < ENGINE_POOL_PER_SHAPE:
-            pool.append(engine.reset())
 
     def _operating_point(self, spec: SessionSpec, lattice: PlanarLattice):
         """``(noise model, dense)`` of a spec: its resolved noise and,
@@ -383,12 +356,7 @@ class MicroBatchScheduler:
                     session.shot = OnlineShot(
                         lattice, noise, spec.rounds, spec.online_config(),
                         rng=states[i],
-                        batch=self._batch_for(spec, lattice) if dense else None,
-                        engine=(
-                            None
-                            if dense
-                            else self._scalar_engine_for(spec, lattice)
-                        ),
+                        batch=group.batch_engine(self.tracer) if dense else None,
                         block=block,
                         row=row,
                     )
@@ -479,10 +447,7 @@ class MicroBatchScheduler:
         shot = session.shot
         group.block.release(shot.row)
         if shot.kind == "online":
-            if shot._batch is not None:
-                shot.release()  # free the batch-engine lane for reuse
-            else:
-                self._recycle_scalar(session.spec, shot.engine)
+            shot.release()  # free its batch-engine lane, if it has one
         session.shot = None  # drop lane/slab references
         self._n_active -= 1
         self.metrics.record_finish(result)
@@ -492,7 +457,7 @@ class MicroBatchScheduler:
 
         A long-running service sweeping many distinct ``d`` values
         would otherwise accumulate empty groups — their state slabs,
-        cached lattices and engine pools — forever.  Keep the
+        batch engines and cached lattices — forever.  Keep the
         ``MAX_IDLE_SHAPES`` most recently drained shapes warm for
         re-admission; evict the rest wholesale (a re-admission simply
         rebuilds the shape from scratch — dispatch state is
@@ -509,11 +474,8 @@ class MicroBatchScheduler:
             self._drop_shape(d)
 
     def _drop_shape(self, d: int) -> None:
-        self._groups.pop(d, None)
+        self._groups.pop(d, None)  # its block and batch engine go with it
         self._lattices.pop(d, None)
-        for pool in (self._engine_pool, self._scalar_pool):
-            for key in [k for k in pool if k[0] == d]:
-                del pool[key]
 
     def run_until_idle(self, max_steps: int | None = None) -> list[DecodeSession]:
         """Step until no session is queued or active (or ``max_steps``).

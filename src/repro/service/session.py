@@ -253,8 +253,8 @@ class SessionSpec:
         Sessions batch by *lattice geometry* alone: engine state is
         session-granular, so sessions with different ``thv`` /
         ``reg_size`` / clocks — and window sessions — advance in the
-        same lock-step batch.  ``thv``/``reg_size`` key only the engine
-        pool (:class:`repro.service.scheduler.MicroBatchScheduler`).
+        same lock-step batch, and dense ones share its one batch engine
+        (each lane carries its own ``thv``/``reg_size``).
         """
         return self.d
 

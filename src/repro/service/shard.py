@@ -7,7 +7,7 @@ shards the scheduler across **worker processes** behind the existing
 async/TCP front end:
 
 - a :class:`ShardRouter` spawns ``n_shards`` worker processes, each
-  owning a *full* ``MicroBatchScheduler`` (engine pools, state slabs,
+  owning a *full* ``MicroBatchScheduler`` (batch engines, state slabs,
   metrics) and running the synchronous admit/step/retire loop of
   :func:`_shard_worker`;
 - sessions deal to workers **round-robin**: the router-issued ticket

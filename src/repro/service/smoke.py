@@ -16,7 +16,7 @@ through the strict exposition checker
 — bad label escaping, non-monotonic histogram bucket counts, a missing
 ``+Inf`` bucket — fails the smoke.  ``--expo-out``/``--trace-out``
 capture the scrape and the span ring for CI artifacts.  Exit code 0
-means the whole loop — transport, scheduler, engine recycling, tracer,
+means the whole loop — transport, scheduler, batch-engine lanes, tracer,
 exposition, drain, shutdown — held together::
 
     python -m repro.service.smoke --sessions 50
@@ -70,7 +70,12 @@ CHAOS_ERROR_KINDS = frozenset(
 
 
 def _mixed_specs(n_sessions: int, seed0: int = 4000) -> list[SessionSpec]:
-    """A mixed batch: several distances, both thv settings, both modes.
+    """A mixed batch: several distances, operating points and modes.
+
+    The short online sessions mix ``thv`` 3 and -1 with Regs of 7, 3
+    and unbounded depth, and one of them waits with ``thv = 2**63``
+    (past int64): the dense ones share their shape group's one batch
+    engine, each lane at its own operating point.
 
     Every tenth session is a 70-round ``d = 13`` online stream, longer
     than the 34-round noise window of a d = 13 slab row: the row
@@ -97,7 +102,8 @@ def _mixed_specs(n_sessions: int, seed0: int = 4000) -> list[SessionSpec]:
             specs.append(
                 SessionSpec(
                     d=d, p=0.02, seed=seed0 + i,
-                    thv=(3, -1)[i % 2],
+                    thv=2**63 if i == 1 else (3, -1)[i % 2],
+                    reg_size=(7, 3, None)[i // 2 % 3],
                     frequency_hz=(2.0e9, None)[i % 2],
                 )
             )

@@ -292,24 +292,3 @@ class TestSessionEntryPoints:
         assert engine.try_push_empty_idle() is True
         assert engine.try_push_empty_idle() is False  # Reg full
         assert engine.m == 3
-
-    def test_reset_restores_fresh_behaviour(self, d5):
-        """A recycled engine decodes a stream bit-identically to a
-        fresh one (the service's engine-pool contract)."""
-        rng = np.random.default_rng(5)
-        stream = (rng.random((6, d5.n_ancillas)) < 0.15).astype(np.uint8)
-        dirty = QecoolEngine(d5, thv=3, reg_size=7)
-        for row in stream:
-            dirty.push_layer(row)
-        drain(dirty)
-        assert dirty.matches  # it did real work
-        recycled = dirty.reset()
-        assert recycled is dirty
-        fresh = QecoolEngine(d5, thv=3, reg_size=7)
-        for engine in (recycled, fresh):
-            for row in stream:
-                engine.push_layer(row)
-            drain(engine)
-        assert recycled.matches == fresh.matches
-        assert recycled.layer_cycles == fresh.layer_cycles
-        assert recycled.cycles == fresh.cycles

@@ -229,9 +229,9 @@ def test_exposed_any_and_charge_empty(d, case):
     low = (1 << m) - 1
     sel = np.asarray([3, 0, 2], dtype=np.int64)
     for thv in sorted({0, 1, m // 2, m - 1}):
-        batch = QecoolEngineBatch(LATTICES[d], thv=thv, capacity=4)
+        batch = QecoolEngineBatch(LATTICES[d], capacity=4)
         for lane, engine in enumerate(engines):
-            assert batch.alloc_lane() == lane
+            assert batch.alloc_lane(thv, None) == lane
             batch._masks[lane] = engine._masks & np.uint64(low)
             batch._m[lane] = m
         blocked = [
@@ -245,7 +245,7 @@ def test_exposed_any_and_charge_empty(d, case):
     rng = np.random.default_rng(d)
     batch = QecoolEngineBatch(LATTICES[d], capacity=8)
     for _ in range(8):
-        batch.alloc_lane()
+        batch.alloc_lane(-1, None)
     cycles = rng.integers(0, 100, 8).astype(np.int64)
     popped = rng.integers(0, 5, 8).astype(np.int64)
     at_pop = np.minimum(cycles, rng.integers(0, 50, 8)).astype(np.int64)

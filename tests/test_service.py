@@ -10,10 +10,13 @@ a refill-forcing noise window below; see ``tests/README.md``).
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
+import gc
 import json
 import math
 import numbers
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.online as online_module
+from repro.core.engine_batch import QecoolEngineBatch
 from repro.core.online import (
     OnlineShot,
     StreamingBlock,
@@ -32,6 +36,7 @@ from repro.core.window import SlidingWindowDecoder
 from repro.experiments.montecarlo import resolve_noise
 from repro.service import (
     Backpressure,
+    DecodeService,
     MicroBatchScheduler,
     SchedulerConfig,
     SessionSpec,
@@ -363,20 +368,23 @@ class TestSchedulerBitIdentity:
             for i in range(4)
         ]
         scheduler.run_until_idle()
-        assert scheduler._engine_pool  # lanes were recycled in place
+        engine = scheduler._groups[5].engine
+        assert engine is not None  # lanes were recycled in place
         second = [
             scheduler.submit(SessionSpec(d=5, p=0.05, seed=200 + i))
             for i in range(4)
         ]
         scheduler.run_until_idle()
+        assert scheduler._groups[5].engine is engine
         for session in first + second:
             assert_session_matches_trial(session)
 
     def test_recycled_scalar_engines_stay_bit_identical(self, monkeypatch):
-        """Sessions below BATCH_EVENT_CUTOFF dispatch to pooled scalar
-        engines; a recycled (reset) engine must show no residue of its
-        previous session.  Pin the cutoff high so every session takes
-        the scalar path, whatever its event rate."""
+        """Sessions below BATCH_EVENT_CUTOFF decode on scalar engines
+        of their own; back-to-back waves on the same slab rows must
+        show no residue of the previous session.  Pin the cutoff high
+        so every session takes the scalar path, whatever its event
+        rate."""
         import repro.service.scheduler as scheduler_module
 
         monkeypatch.setattr(scheduler_module, "BATCH_EVENT_CUTOFF", 1e9)
@@ -386,8 +394,7 @@ class TestSchedulerBitIdentity:
             for i in range(4)
         ]
         scheduler.run_until_idle()
-        assert scheduler._scalar_pool  # scalar engines were recycled
-        assert not scheduler._engine_pool  # ... and no batch engine built
+        assert scheduler._groups[5].engine is None  # no batch engine built
         second = [
             scheduler.submit(SessionSpec(d=5, p=0.001, seed=400 + i))
             for i in range(4)
@@ -443,8 +450,8 @@ class TestSchedulerLifecycle:
 
     def test_drained_shape_groups_are_lru_bounded(self, monkeypatch):
         """Retired shapes must not leak: beyond ``MAX_IDLE_SHAPES`` the
-        oldest drained group — its state slab, cached lattice and engine
-        pools — is dropped wholesale."""
+        oldest drained group — its state slab, batch engine and cached
+        lattice — is dropped wholesale."""
         import repro.service.scheduler as scheduler_module
 
         monkeypatch.setattr(scheduler_module, "MAX_IDLE_SHAPES", 1)
@@ -457,8 +464,6 @@ class TestSchedulerLifecycle:
         # Only the most recently drained shape stays warm.
         assert set(scheduler._groups) == {7}
         assert set(scheduler._lattices) == {7}
-        assert all(key[0] == 7 for key in scheduler._engine_pool)
-        assert all(key[0] == 7 for key in scheduler._scalar_pool)
         # An evicted shape re-admits from scratch, bit-identically.
         revisit = scheduler.submit(SessionSpec(d=3, p=0.01, seed=33))
         scheduler.run_until_idle()
@@ -607,8 +612,6 @@ class TestWaveAdmission:
     ):
         """What the traced e2e ledger counts: ``scheduler.dense_share``
         is lane allocations over submits."""
-        from repro.core.engine_batch import QecoolEngineBatch
-
         calls = {"submit": 0, "alloc_lane": 0}
 
         def counting(owner, name):
@@ -675,6 +678,92 @@ class TestWaveAdmission:
         window = scheduler._groups[9].block.noise_window
         assert max(refills) <= math.ceil(64 / window) + 1
         assert sum(refills) >= 64 * (1000 // window - 1)
+        for session in sessions:
+            assert_session_matches_trial(session)
+
+
+class TestOperatingPointsShareOneEngine:
+    """The batch engine follows the lattice and the operating point
+    follows the lane: client-chosen ``thv``/``reg_size`` values key
+    nothing the scheduler keeps, so neither a huge ``thv`` nor a sweep
+    of distinct operating points can break or bloat the service."""
+
+    @staticmethod
+    def hostile_wave():
+        good = [
+            SessionSpec(d=5, p=0.01, seed=9000 + i, n_rounds=5)
+            for i in range(6)
+        ]
+        return good + [
+            SessionSpec(d=5, p=0.01, seed=9006, n_rounds=5, thv=2**63)
+        ]
+
+    @staticmethod
+    def operating_points():
+        """100 one-round dense d=9 sessions, no two at one operating
+        point (``thv`` -1..98, ``reg_size`` unbounded or 2..64)."""
+        return [
+            SessionSpec(
+                d=9, p=0.01, seed=9100 + i, n_rounds=1, thv=i - 1,
+                reg_size=None if i % 10 == 0 else 1 + i % 64,
+            )
+            for i in range(100)
+        ]
+
+    def test_unbounded_thv_wave_decodes_and_service_stays_up(self):
+        """One wave of six dense sessions plus ``thv = 2**63`` (past
+        int64): all seven decode bit-identically to ``run_online_trial``
+        (whose scalar engine takes the raw ``thv``) and a later decode
+        still succeeds."""
+        specs = self.hostile_wave()
+
+        async def run():
+            config = SchedulerConfig(max_active=16)
+            async with DecodeService(config) as service:
+                results = await asyncio.gather(*service.submit_wave(specs))
+                later = await service.submit(specs[0])
+                dense = service.scheduler._groups[5].engine
+            return results, later, dense
+
+        results, later, dense = asyncio.run(run())
+        assert dense is not None  # the wave rode batch lanes
+        for spec, result in zip(specs, results):
+            reference = reference_trial(spec)
+            assert result.matches == reference.matches, spec
+            assert result.layer_cycles == list(reference.layer_cycles), spec
+            assert (result.failed, result.overflow, result.n_rounds) == (
+                reference.failed, reference.overflow, reference.n_rounds,
+            ), spec
+        assert later.matches == results[0].matches
+
+    def test_distinct_operating_points_keep_one_engine(self):
+        """100 sessions at 100 operating points, one after another: one
+        batch engine for the shape group, bounded memory, and every
+        session bit-identical to its standalone trial."""
+        specs = self.operating_points()
+        gc.collect()
+        engines_before = sum(
+            isinstance(obj, QecoolEngineBatch) for obj in gc.get_objects()
+        )
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            scheduler = MicroBatchScheduler(SchedulerConfig())
+            sessions = []
+            for spec in specs:
+                sessions.append(scheduler.submit(spec))
+                scheduler.run_until_idle()
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        engines = sum(
+            isinstance(obj, QecoolEngineBatch) for obj in gc.get_objects()
+        )
+        assert set(scheduler._groups) == {9}
+        assert scheduler._groups[9].engine is not None
+        assert engines - engines_before == 1
+        assert grown < 8 * 2**20, f"{grown / 2**20:.1f} MiB"
         for session in sessions:
             assert_session_matches_trial(session)
 
@@ -753,6 +842,25 @@ class TestDynamicMembership:
         stray = OnlineShot(d5, noise, 5, config, rng=2, block=other)
         with pytest.raises(ValueError, match="row"):
             StreamingRoster(block, [good, stray])
+
+    def test_lanes_of_two_engines_rejected(self, d5):
+        """A roster advances one batch engine: lanes at different
+        operating points share it, so a second engine is a caller bug."""
+        block = StreamingBlock(d5, capacity=4)
+        noise = PhenomenologicalNoise(0.02)
+        paper = SessionSpec(d=5, p=0.02, seed=0).online_config()
+        eager = SessionSpec(
+            d=5, p=0.02, seed=0, thv=-1, reg_size=None
+        ).online_config()
+        engine, other = QecoolEngineBatch(d5, 2), QecoolEngineBatch(d5, 2)
+        shots = [
+            OnlineShot(d5, noise, 5, paper, 1, block, batch=engine),
+            OnlineShot(d5, noise, 5, eager, 2, block, batch=engine),
+        ]
+        StreamingRoster(block, shots)  # two operating points, one engine
+        stray = OnlineShot(d5, noise, 5, paper, 3, block, batch=other)
+        with pytest.raises(ValueError, match="one batch engine"):
+            StreamingRoster(block, shots + [stray])
 
     def test_block_grow_rebinds(self, d5):
         block = StreamingBlock(d5, capacity=2)
@@ -934,8 +1042,7 @@ class TestTraceNeutrality:
         scheduler, _ = self._run()
         assert scheduler.tracer is None
         assert scheduler.metrics.tracer is None
-        for batch in scheduler._engine_pool.values():
-            assert batch.tracer is None
-        for pool in scheduler._scalar_pool.values():
-            for engine in pool:
-                assert engine.tracer is None
+        engines = [group.engine for group in scheduler._groups.values()]
+        assert any(engines)
+        for engine in engines:
+            assert engine is None or engine.tracer is None

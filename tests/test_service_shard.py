@@ -179,6 +179,58 @@ class TestShardedBitIdentity:
         asyncio.run(run())
 
 
+class TestOperatingPoints:
+    """Per-session operating points on two shards, as in-process
+    (``TestOperatingPointsShareOneEngine`` in ``test_service.py``): a
+    ``thv`` past int64 kills no worker, and a population of distinct
+    operating points decodes bit-identically."""
+
+    def test_unbounded_thv_wave_kills_no_worker(self):
+        specs = [
+            SessionSpec(d=5, p=0.01, seed=9000 + i, n_rounds=5)
+            for i in range(6)
+        ] + [SessionSpec(d=5, p=0.01, seed=9006, n_rounds=5, thv=2**63)]
+
+        async def run():
+            config = SchedulerConfig(max_active=16, max_queue=64)
+            async with ShardRouter(n_shards=2, config=config) as router:
+                results = await asyncio.gather(*router.submit_wave(specs))
+                later = await router.submit(specs[0])
+                snapshot = await router.metrics()
+            return results, later, snapshot
+
+        results, later, snapshot = asyncio.run(run())
+        for spec, result in zip(specs, results):
+            _assert_matches_reference(spec, result)
+        _assert_matches_reference(specs[0], later)
+        assert snapshot["worker_deaths"] == 0
+        assert snapshot["live_shards"] == 2
+
+    def test_distinct_operating_points_bit_identical(self):
+        specs = [
+            SessionSpec(
+                d=9, p=0.01, seed=9100 + i, n_rounds=1, thv=i - 1,
+                reg_size=None if i % 10 == 0 else 1 + i % 64,
+            )
+            for i in range(100)
+        ]
+
+        async def run():
+            config = SchedulerConfig(max_active=16, max_queue=128)
+            async with ShardRouter(n_shards=2, config=config) as router:
+                results = await asyncio.gather(
+                    *(router.submit(spec) for spec in specs)
+                )
+                snapshot = await router.metrics()
+            return results, snapshot
+
+        results, snapshot = asyncio.run(run())
+        for spec, result in zip(specs, results):
+            _assert_matches_reference(spec, result)
+        assert snapshot["completed"] == len(specs)
+        assert snapshot["worker_deaths"] == 0
+
+
 class TestWorkerFailure:
     KILL_SPECS = [
         SessionSpec(d=3, p=0.02, seed=8400 + i, n_rounds=3000)
