@@ -40,21 +40,18 @@ class QecoolDecoder(Decoder):
     thv:
         Vertical look-ahead threshold handed to the engine; ``-1``
         (default) is the paper's batch configuration.
-    nlimit:
-        Optional cap on the Controller's growing hop budget.
     """
 
     name = "qecool"
 
-    def __init__(self, thv: int = -1, nlimit: int | None = None):
+    def __init__(self, thv: int = -1):
         self.thv = thv
-        self.nlimit = nlimit
 
     def decode(self, lattice: PlanarLattice, events: np.ndarray) -> DecodeResult:
         events = np.asarray(events, dtype=np.uint8)
         if events.ndim == 1:
             events = events[None, :]
-        engine = QecoolEngine(lattice, thv=self.thv, nlimit=self.nlimit)
+        engine = QecoolEngine(lattice, thv=self.thv)
         for row in events:
             engine.push_layer(row)
         engine.decode_loaded()
@@ -84,7 +81,7 @@ class QecoolDecoder(Decoder):
         shots = events.shape[0]
         batch = QecoolEngineBatch(lattice, capacity=shots)
         lanes = np.fromiter(
-            (batch.alloc_lane(self.thv, None, self.nlimit) for _ in range(shots)),
+            (batch.alloc_lane(self.thv, None) for _ in range(shots)),
             np.int64, shots,
         )
         for t in range(events.shape[1]):

@@ -41,10 +41,11 @@ boundary keys) cached once and shared across shots, and every race
 candidate represented as a single ``int64`` **packed key** whose
 integer order equals the race-resolution order of
 :attr:`repro.core.spike.SpikeCandidate.key` (doubled arrival | port |
-source depth | source index).  The winner race is evaluated — whenever
-the live-sink x live-event workload is big enough to amortise numpy
-dispatch — as one broadcast pass reduced by ``argmin``; small workloads
-take an equivalent scalar scan.
+source depth | source index).  Whenever the live-sink x live-event
+workload is big enough to amortise numpy dispatch, the winner race runs
+through the kernels shared with the batch engine
+(:mod:`repro.core.kernels`) on a one-lane view of the mask vector;
+small workloads take an equivalent scalar scan.
 
 A lazily-validated winner cache (packed keys) sits on top.  Matches
 only ever *remove* candidates, so a cached winner stays optimal while
@@ -205,6 +206,13 @@ def _kernel_geometry(lattice: PlanarLattice) -> kernels.Geometry:
     )
 
 
+def _stall_limit(lattice: PlanarLattice, reg_size: int | None) -> int:
+    """Sweeps in a row without a match or pop after which a Controller
+    is declared stuck (a policy bug, never a decode outcome)."""
+    depth = reg_size if reg_size is not None else lattice.d + 1
+    return lattice.rows + lattice.cols + 2 * depth + 6
+
+
 class QecoolEngine:
     """The QECOOL decoding machine for one logical-qubit sector.
 
@@ -222,10 +230,10 @@ class QecoolEngine:
         paper's hardware uses 7.  Pushing a layer when full signals
         overflow (the trial fails).  The array state caps even the
         unbounded Reg at :data:`MAX_LAYERS` stored layers.
-    nlimit:
-        Maximum hop budget of the Controller's growing timeout; defaults
-        to the lattice diameter plus ``Reg`` depth, which guarantees any
-        defect can reach a partner or the boundary.
+
+    The Controller's hop budget grows without a cap: every sink's
+    boundary candidate bounds its winner, so a sweep at that many hops
+    always matches.
     """
 
     def __init__(
@@ -233,7 +241,6 @@ class QecoolEngine:
         lattice: PlanarLattice,
         thv: int = -1,
         reg_size: int | None = None,
-        nlimit: int | None = None,
     ):
         if thv < -1:
             raise ValueError(f"thv must be >= -1, got {thv}")
@@ -247,34 +254,26 @@ class QecoolEngine:
         self.lattice = lattice
         self.thv = thv
         self.reg_size = reg_size
-        self._depth_hint = reg_size if reg_size is not None else lattice.d + 1
-        self.nlimit = (
-            nlimit
-            if nlimit is not None
-            else lattice.rows + lattice.cols + self._depth_hint + 2
-        )
+        self._stall_limit = _stall_limit(lattice, reg_size)
         # Unit state: one uint64 event bitmask per ancilla (flat
         # row-major index) in a numpy vector — the canonical store for
         # every vectorized pass — mirrored into plain ints for the
         # scalar inner loops, plus the set of live (event-holding)
         # Units, per-row occupancy counts, and a lazily-validated cache
         # of packed race-winner keys (see docs/DESIGN.md section 5).
+        # ``_slab`` is the one-lane (1, N) view the kernels race on.
         self._masks = np.zeros(lattice.n_ancillas, dtype=np.uint64)
+        self._slab = self._masks[None]
         self._mask_ints: list[int] = [0] * lattice.n_ancillas
         self._live: set[int] = set()
-        self._live_arr: np.ndarray | None = None  # rebuilt lazily on change
         self._l0 = 0  # Units with a layer-0 event (shift-detection count)
         self.m = 0  # layers currently stored
         self.popped = 0  # layers shifted out so far (absolute-time offset)
         self._row_counts: list[int] = [0] * lattice.rows
         self._winner_cache: dict[tuple[int, int], int] = {}
         # Geometry tables, cached per lattice and shared across shots.
-        self._dist = lattice.pairwise_manhattan
-        self._ports = port_table(lattice)
         self._bpacked = _packed_boundaries(lattice)
-        self._bpacked_arr = _packed_boundaries_arr(lattice)
         self._pair_base = _pair_base_table(lattice)
-        self._depth_lut = _depth_key_table(lattice)
         self._radix = lattice.n_ancillas + 1  # packed-key source digit
         self._geo = _kernel_geometry(lattice)
         # Accounting.
@@ -326,7 +325,6 @@ class QecoolEngine:
                 old = mask_ints[a]
                 if not old:
                     self._live.add(a)
-                    self._live_arr = None
                     self._row_counts[a // cols] += 1
                 mask_ints[a] = old | bit
             self._masks[pushed] |= np.uint64(bit)
@@ -349,8 +347,9 @@ class QecoolEngine:
 
         Compares packed candidate keys — bit-equivalent to rebuilding
         each candidate and comparing ``cand.key < win.key`` tuples.  One
-        broadcast over (cache entries) x (new events) when the workload
-        is large; a scalar scan below the cutoff.
+        :func:`repro.core.kernels.push_beats` broadcast over (cache
+        entries) x (new events) when the workload is large; a scalar
+        scan below the cutoff.
         """
         cache = self._winner_cache
         radix = self._radix
@@ -366,10 +365,10 @@ class QecoolEngine:
                     # A new event races in no faster than its depth;
                     # winners already beating that depth are safe.
                     continue
+                # The vertical key (own Unit) is the depth term alone.
                 depth = t_rel * depth_step
-                vert = (t_rel * 16 * 128 + t_rel) * radix
                 for a in pushed_list:
-                    cand = vert if a == idx else int(pair_base[idx, a]) + depth
+                    cand = depth if a == idx else int(pair_base[idx, a]) + depth
                     if cand < win_packed:
                         stale_keys.append((idx, b_abs))
                         break
@@ -389,21 +388,11 @@ class QecoolEngine:
         if not beatable.any():
             return
         rows = np.flatnonzero(beatable)
-        sink_idx = sink_idx[rows]
-        win_packed = win_packed[rows]
-        t_rel = t_rel[rows]
-        dist = self._dist[sink_idx[:, None], pushed[None, :]].astype(np.int64)
-        ports = self._ports[sink_idx[:, None], pushed[None, :]].astype(np.int64)
-        arrival = t_rel[:, None] + dist
-        cand = ((arrival * 16 + ports) * 128 + t_rel[:, None]) * radix + (
-            pushed[None, :] + 1
-        )
-        # A new event in the sink's own Unit races as a vertical
-        # candidate (no travel, internal port, no source digit).
-        vert = (t_rel * 16 * 128 + t_rel) * radix
-        cand = np.where(pushed[None, :] == sink_idx[:, None], vert[:, None], cand)
-        stale = (cand < win_packed[:, None]).any(axis=1)
-        for i in rows[np.flatnonzero(stale)].tolist():
+        stale = kernels.push_beats(
+            sink_idx[rows, None], pushed[None, :], t_rel[rows, None],
+            win_packed[rows, None], self._geo,
+        ).any(axis=1)
+        for i in rows[stale].tolist():
             del cache[keys[i]]
 
     def begin_drain(self) -> None:
@@ -530,22 +519,21 @@ class QecoolEngine:
                 continue
             if need > budget:
                 # Analytically account the fruitless sweeps in between.
-                target = min(need, self.nlimit)
-                for cl in range(budget, target):
+                for cl in range(budget, need):
                     yield self._sweep_overhead(b_max) + n_sinks * (2 * cl + 2)
-                budget = target
+                budget = need
             # One real sweep at the current budget.
             matched, popped_mid_sweep = yield from self._sweep(budget, b_max)
             progressed = progressed or matched or popped_mid_sweep
             if popped_mid_sweep:
                 budget = 1  # `goto start loop` after SHIFTREG
             else:
-                budget = budget + 1 if budget < self.nlimit else 1
+                budget += 1
             if progressed:
                 stall_guard = 0
             else:
                 stall_guard += 1
-                if stall_guard > self.nlimit + self._depth_hint + 4:
+                if stall_guard > self._stall_limit:
                     raise RuntimeError(
                         "QECOOL engine made no progress over a full budget"
                         " cycle — matching policy bug"
@@ -602,18 +590,7 @@ class QecoolEngine:
             self._l0 -= 1
         if not new:
             self._live.discard(idx)
-            self._live_arr = None
             self._row_counts[idx // self.lattice.cols] -= 1
-
-    def _live_units(self) -> np.ndarray:
-        """The live Units as a sorted int64 index vector (cached until
-        the live set changes)."""
-        arr = self._live_arr
-        if arr is None:
-            arr = np.fromiter(self._live, np.int64, len(self._live))
-            arr.sort()
-            self._live_arr = arr
-        return arr
 
     # ------------------------------------------------------------------
     # The winner race, on packed keys.
@@ -701,48 +678,26 @@ class QecoolEngine:
 
     def _winner_for(self, idx: int, b: int) -> int:
         """One sink's packed winner, by whichever of the scalar scan and
-        the single-row gather is cheaper for the current live count."""
+        the single-row kernel race is cheaper for the current live count."""
         if len(self._live) >= 12:
-            return self._winner_one(idx, b)
+            return kernels._race_one(self._slab, 0, idx, b, self._geo)
         return self._winner_scalar(idx, b)
 
     def _winners_bulk(self, sinks: list[tuple[int, int]]) -> list[int]:
-        """Packed race winners for many sinks in one broadcast pass.
-
-        Runs :func:`repro.core.kernels.winners_bulk`, which is
-        bit-equivalent to the scalar ``cand < best`` scan.  Winners are
-        stored in the cache and returned in request order.
-        """
-        live = self._live_units()
-        cache = self._winner_cache
-        b_arr = np.fromiter((b for b, _ in sinks), np.int64, len(sinks))
-        sink_arr = np.fromiter((idx for _, idx in sinks), np.int64, len(sinks))
-        best = kernels.winners_bulk(
-            self._masks, live, sink_arr, b_arr, self._geo
+        """Packed race winners for many ``(base, sink)`` requests in one
+        :func:`repro.core.kernels.race` pass on the one-lane slab;
+        stored in the cache and returned in request order."""
+        n = len(sinks)
+        b_arr = np.fromiter((b for b, _ in sinks), np.int64, n)
+        sink_arr = np.fromiter((idx for _, idx in sinks), np.int64, n)
+        best = kernels.race(
+            self._slab, np.zeros(n, dtype=np.int64), sink_arr, b_arr, self._geo
         ).tolist()
+        cache = self._winner_cache
         popped = self.popped
         for (b, idx), win in zip(sinks, best):
             cache[(idx, popped + b)] = win
         return best
-
-    def _winner_one(self, idx: int, b: int) -> int:
-        """Packed race winner for one sink: a single gathered row of the
-        pair-base table against the live Units (the broadcast pass
-        without its fan-out machinery); scalar vertical and boundary."""
-        radix = self._radix
-        live = self._live_units()
-        shifted = self._masks[live] >> np.uint64(b)
-        lsb = shifted & (np.uint64(0) - shifted)
-        depth_key = self._depth_lut.take(np.bitwise_count(lsb - _ONE))
-        best = int((self._pair_base[idx, live] + depth_key).min())
-        higher = self._mask_ints[idx] >> (b + 1)
-        if higher:
-            t = (higher & -higher).bit_length()
-            cand = (t * 16 * 128 + t) * radix
-            if cand < best:
-                best = cand
-        boundary = self._bpacked[idx]
-        return boundary if boundary < best else best
 
     def _winner_scalar(self, idx: int, b: int) -> int:
         """Packed race winner for one sink via a scalar scan over live
@@ -946,7 +901,6 @@ class QecoolEngine:
             mask_ints[a] >>= 1
         for a in dying:
             live.discard(a)
-            self._live_arr = None
             self._row_counts[a // cols] -= 1
         self._l0 = sum(1 for a in live if mask_ints[a] & 1)
         np.right_shift(self._masks, _ONE, out=self._masks)

@@ -12,9 +12,10 @@ idle, retired and deadline-suspended lanes simply drop out of the index
 vectors instead of being looped over.
 
 The operating point is lane state too: :meth:`QecoolEngineBatch
-.alloc_lane` stamps each lane's ``thv``, ``reg_size`` and ``nlimit``
-into ``(S,)`` arrays that every phase reads per lane, so lanes at
-different operating points share one engine and one lock-step pass.
+.alloc_lane` stamps each lane's ``thv`` and ``reg_size`` (and the stall
+guard derived from them) into ``(S,)`` arrays that every phase reads
+per lane, so lanes at different operating points share one engine and
+one lock-step pass.
 ``thv`` is stored as ``min(thv, MAX_LAYERS)``, which is exact: at most
 :data:`~repro.core.engine.MAX_LAYERS` layers are stored, so outside
 drain the wait gate ``m - b > thv`` and the exposed depth ``m - thv``
@@ -28,9 +29,10 @@ and, under a finite decoder clock, the exact action boundary where the
 decode freezes at the interval deadline.  The contract is kept by three
 rules:
 
-- **Race keys are shared.**  Winner races use the scalar engine's
-  packed-int64 keys and per-lattice geometry tables verbatim, evaluated
-  in bulk over flattened ``(lane, sink, base)`` triples.
+- **Race keys are shared.**  Winner races and push invalidation run
+  through the same :mod:`repro.core.kernels` functions the scalar
+  engine calls, on the same packed-int64 keys and per-lattice geometry
+  tables, here in bulk over flattened ``(lane, sink, base)`` triples.
 - **Charges are lumped only when provably safe.**  A sub-sweep whose
   hits all time out charges a closed-form lump (row tokens plus
   ``n_hits`` timeouts).  The lump is applied only when the lane cannot
@@ -69,9 +71,10 @@ from repro.core.engine import (
     MAX_LAYERS,
     _fast_match,
     _kernel_geometry,
+    _stall_limit,
 )
 from repro.core import kernels
-from repro.core.spike import PRIORITY_WEST, port_table
+from repro.core.spike import PRIORITY_WEST
 from repro.decoders.base import BOUNDARY_EAST, BOUNDARY_WEST
 from repro.surface_code.lattice import PlanarLattice
 
@@ -94,7 +97,7 @@ class QecoolEngineBatch:
     """Lane-parallel QECOOL machines on one lattice.
 
     Lanes are claimed with :meth:`alloc_lane`, which sets the lane's
-    operating point (``thv``, ``reg_size``, ``nlimit``), and returned
+    operating point (``thv``, ``reg_size``), and returned
     with :meth:`free_lane`; a freed lane is reset and may be reused by a
     later admission at any operating point (the decode service keeps
     one engine per lattice and does exactly that).  Per-lane clocks and
@@ -107,8 +110,6 @@ class QecoolEngineBatch:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.lattice = lattice
         # Geometry tables, shared with the scalar engine's caches.
-        self._dist = lattice.pairwise_manhattan
-        self._ports = port_table(lattice)
         self._radix = lattice.n_ancillas + 1
         self._hops_div = 1024 * self._radix
         self._geo = _kernel_geometry(lattice)
@@ -154,7 +155,6 @@ class QecoolEngineBatch:
         # Per-lane operating point, set by alloc_lane.
         grow("_thv", (capacity,), np.int64)
         grow("_reg", (capacity,), np.int64)
-        grow("_nlimit", (capacity,), np.int64)
         grow("_stall_limit", (capacity,), np.int64)
         # Per-call scratch, full-capacity so lane ids index directly.
         self._wall_full = np.zeros(capacity, dtype=np.float64)
@@ -185,12 +185,10 @@ class QecoolEngineBatch:
         self._win = fresh
         self._n_depths = nd
 
-    def alloc_lane(
-        self, thv: int, reg_size: int | None, nlimit: int | None = None
-    ) -> int:
+    def alloc_lane(self, thv: int, reg_size: int | None) -> int:
         """Claim a reset lane at the operating point of a scalar
-        ``QecoolEngine(lattice, thv, reg_size, nlimit)``, growing the
-        slabs when none are free.
+        ``QecoolEngine(lattice, thv, reg_size)``, growing the slabs when
+        none are free.
 
         Free lanes are kept clean (`free_lane` resets; fresh slabs are
         zeroed), so claiming is a pop plus the operating point.  An
@@ -205,8 +203,6 @@ class QecoolEngineBatch:
             )
         lattice = self.lattice
         depth = reg_size if reg_size is not None else lattice.d + 1
-        if nlimit is None:
-            nlimit = lattice.rows + lattice.cols + depth + 2
         if not self._free:
             old = self.capacity
             self._alloc_slabs(old * 2)
@@ -218,8 +214,7 @@ class QecoolEngineBatch:
         self._in_use[lane] = True
         self._thv[lane] = min(thv, MAX_LAYERS)
         self._reg[lane] = MAX_LAYERS + 1 if reg_size is None else reg_size
-        self._nlimit[lane] = nlimit
-        self._stall_limit[lane] = nlimit + depth + 4
+        self._stall_limit[lane] = _stall_limit(lattice, reg_size)
         return lane
 
     def free_lane(self, lane: int) -> None:
@@ -347,8 +342,8 @@ class QecoolEngineBatch:
         """Evict winner-slab entries a just-pushed event would out-race.
 
         The batched mirror of the scalar ``_invalidate_after_push``: one
-        broadcast of (pushed events) x (cached entries), with per-lane
-        event groups reduced by ``logical_or.reduceat``.  Over-eviction
+        :func:`repro.core.kernels.push_beats` pass over the (cached
+        entries) x (pushed events) pairs of each lane.  Over-eviction
         would merely force a re-race, but the comparison is exact, so
         the kept/dropped set matches the scalar cache entry for entry.
         """
@@ -367,7 +362,6 @@ class QecoolEngineBatch:
         e_rel, e_i, e_b = np.nonzero(win_sub >= 0)
         if not e_rel.size:
             return
-        radix = self._radix
         n_lanes = len(lanes)
         ev_counts = np.bincount(ev_rel, minlength=n_lanes)
         ev_starts = np.concatenate(([0], np.cumsum(ev_counts)[:-1]))
@@ -381,12 +375,10 @@ class QecoolEngineBatch:
         i = e_i[pair_entry]
         j = ev_units[pair_event]
         t_rel = t_new[e_rel[pair_entry]] - e_b[pair_entry]
-        cand = (
-            (t_rel + self._dist[i, j]) * 16 + self._ports[i, j]
-        ) * (128 * radix) + t_rel * radix + (j + 1)
-        vert = (t_rel * 2048 + t_rel) * radix
-        cand = np.where(i == j, vert, cand)
-        beaten = cand < win_sub[e_rel[pair_entry], i, e_b[pair_entry]]
+        beaten = kernels.push_beats(
+            i, j, t_rel, win_sub[e_rel[pair_entry], i, e_b[pair_entry]],
+            self._geo,
+        )
         if not beaten.any():
             return
         stale = np.unique(pair_entry[beaten])
@@ -767,18 +759,17 @@ class QecoolEngineBatch:
         grow = need > budget
         if not grow.any():
             return top, b_max
-        target = np.minimum(need, self._nlimit[top])
         unconstrained = df[top] == math.inf
         fast = grow & unconstrained
-        self._budget[top[fast]] = target[fast]
+        self._budget[top[fast]] = need[fast]
         slow = grow & ~unconstrained
         if not slow.any():
             return top, b_max
-        levels = target[slow] - budget[slow]
+        levels = need[slow] - budget[slow]
         overhead = (b_max[slow] + 1) * self._row_scan_cost(top[slow])
-        # sum_{cl=budget}^{target-1} (overhead + n_sinks * (2 cl + 2))
+        # sum_{cl=budget}^{need-1} (overhead + n_sinks * (2 cl + 2))
         total = levels * overhead + n_sinks[slow] * (
-            (budget[slow] + target[slow] - 1) * levels + 2 * levels
+            (budget[slow] + need[slow] - 1) * levels + 2 * levels
         )
         lanes_s = top[slow]
         lump_ok = self._wall_exact[lanes_s] & (
@@ -786,14 +777,14 @@ class QecoolEngineBatch:
         )
         lumped = lanes_s[lump_ok]
         wf[lumped] += total[lump_ok]
-        self._budget[lumped] = target[slow][lump_ok]
+        self._budget[lumped] = need[slow][lump_ok]
         slow_pos = np.flatnonzero(slow)
         drop: list[int] = []
         for j in np.flatnonzero(~lump_ok).tolist():
             pos = int(slow_pos[j])
             lane = int(top[pos])
             crossed = self._analytic_steps(
-                lane, int(budget[pos]), int(target[pos]), int(n_sinks[pos]),
+                lane, int(budget[pos]), int(need[pos]), int(n_sinks[pos]),
                 int(overhead[j]), int(b_max[pos]), wf, df,
             )
             if crossed:
@@ -969,10 +960,7 @@ class QecoolEngineBatch:
             done = bmax_full[cur] <= b
             if done.any():
                 finished = cur[done]
-                bump = self._budget[finished]
-                self._budget[finished] = np.where(
-                    bump < self._nlimit[finished], bump + 1, 1
-                )
+                self._budget[finished] += 1
                 survivors.extend(finished.tolist())
                 cur = cur[~done]
             b += 1
@@ -1334,8 +1322,7 @@ class QecoolEngineBatch:
             charged = False
             any_match = False
             b += 1
-        budget = int(self._budget[lane])
-        self._budget[lane] = budget + 1 if budget < self._nlimit[lane] else 1
+        self._budget[lane] += 1
         if progressed:
             self._stall[lane] = 0
         else:

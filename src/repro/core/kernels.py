@@ -1,12 +1,14 @@
 """The engines' hot kernels.
 
-The QECOOL engines call five numeric hot kernels from this module: the
-packed winner races (:func:`race`, :func:`winners_bulk`, and the
-single-sink :func:`_race_one`), the cache-validity scan
-(:func:`valid_entries`) and the survey's stale-bound refinement
-(:func:`survey_need`).  Each is a pure function of the slab state it is
-handed; :func:`survey_need` also fills the winner slab it re-races
-(cache contents are never observable).  Everything observable --
+Both QECOOL engines compute on packed race keys through this module's
+kernels: the winner races (:func:`race` over ``(lane, sink, base)``
+triples and the single-sink :func:`_race_one`), the cache-validity scan
+(:func:`valid_entries`), the push invalidation (:func:`push_beats`) and
+the survey's stale-bound refinement (:func:`survey_need`).  The scalar
+engine hands them its mask vector as a one-lane ``(1, N)`` slab.  Each
+kernel is a pure function of the slab state it is handed;
+:func:`survey_need` also fills the winner slab it re-races (cache
+contents are never observable).  Everything observable --
 matches, Reg bit clears, charges -- is applied by the engines
 themselves; the batch engine's commit-level conflict scan lives in
 ``QecoolEngineBatch._commit_level``.
@@ -94,6 +96,21 @@ def valid_entries(entries, masks, s, i, b, geo: Geometry) -> np.ndarray:
     return present & (boundary | (tbit == _ONE))
 
 
+def push_beats(i, j, t_rel, win, geo: Geometry) -> np.ndarray:
+    """Which cached winners an event just pushed at unit ``j``,
+    ``t_rel`` layers above the entry's base, out-races (element-wise,
+    broadcasting) for sink ``i`` with packed winner ``win``.
+
+    The event's pair key is ``pair_base[i, j] + t_rel * 2049 * radix``
+    (its depth raises the arrival digit and fills the depth digit); in
+    the sink's own Unit (``i == j``) it races as the vertical key
+    ``t_rel * 2049 * radix``.  The comparison is exact, so both engines
+    evict the same entries.
+    """
+    pair = np.where(i == j, 0, geo.pair_base[i, j])
+    return pair + t_rel * (2049 * geo.radix) < win
+
+
 def survey_need(
     masks, win, win_dirty, s, i, b, pos, n_top, geo: Geometry
 ) -> np.ndarray:
@@ -136,8 +153,9 @@ def survey_need(
 
 
 def _race_one(masks, lane: int, idx: int, b: int, geo: Geometry) -> int:
-    """One sink's packed winner against the lane's live row (the commit
-    scan's mid-level re-race and the exact walk's per-hit race)."""
+    """One sink's packed winner against the lane's live row (the scalar
+    engine's per-sink race, the commit scan's mid-level re-race and the
+    exact walk's per-hit race)."""
     row = masks[lane]
     shifted = row >> np.uint64(b)
     lsb = shifted & (np.uint64(0) - shifted)
@@ -151,31 +169,3 @@ def _race_one(masks, lane: int, idx: int, b: int, geo: Geometry) -> int:
             best = cand
     boundary = geo.bpacked_t[idx]
     return boundary if boundary < best else best
-
-
-def winners_bulk(masks, live, sinks, bases, geo: Geometry) -> np.ndarray:
-    """The scalar engine's broadcast winner race: one
-    (sinks x live) pass packing arrival keys into int64, reduced
-    with one min, then raced against the packed vertical and
-    boundary candidates — bit-equivalent to the scalar
-    ``cand < best`` scan."""
-    radix = geo.radix
-    b_arr = bases.astype(np.uint64)
-    shifted = masks[live][None, :] >> b_arr[:, None]
-    lsb = shifted & (np.uint64(0) - shifted)
-    # Lowest-set-bit index; 64 (out of range) where no event sits
-    # at/above the base — which the depth LUT maps straight to the
-    # no-candidate sentinel, so empty Units fall out of the race
-    # (the sink itself always has t_rel == 0 at its own base, so
-    # the sentinel diagonal never compounds with the LUT's).
-    t_rel = np.bitwise_count(lsb - _ONE)
-    depth_key = geo.depth_lut.take(t_rel)
-    best_pair = (geo.pair_base[sinks][:, live] + depth_key).min(axis=1)
-    own = masks[sinks] >> (b_arr + _ONE)
-    own_lsb = own & (np.uint64(0) - own)
-    v_t = np.bitwise_count(own_lsb - _ONE).astype(np.int64) + 1
-    vertical = np.where(
-        own != 0, (v_t * 16 * 128 + v_t) * radix, NO_CANDIDATE
-    )
-    best = np.minimum(best_pair, vertical)
-    return np.minimum(best, geo.bpacked[sinks])

@@ -159,12 +159,13 @@ class ReferenceEngine:
 
     Cycle accounting follows the engine's charging convention: a sweep
     is charged to ``cycles`` only if it produced a match, or if it ran
-    at the full ``nlimit`` budget (the engine simulates exactly those
-    sweeps; provably-fruitless budget-growth sweeps are emitted to the
-    caller's wall clock but never charged — see ``docs/DESIGN.md``
-    section 4).  Matches, ``cycles``, ``layer_cycles``, pops and
-    overflow refusals are bit-identical to :class:`~repro.core.engine.
-    QecoolEngine` driven to the same IDLE points, which is what
+    at this oracle's own hop cap ``nlimit`` (which no winner reaches;
+    the engines have no cap and simulate exactly the matching sweeps).
+    Provably-fruitless budget-growth sweeps are emitted to the caller's
+    wall clock but never charged (see ``docs/DESIGN.md`` section 4).
+    Matches, ``cycles``, ``layer_cycles``, pops and overflow refusals
+    are bit-identical to :class:`~repro.core.engine.QecoolEngine`
+    driven to the same IDLE points, which is what
     ``tests/test_engine_equivalence.py`` asserts on random streams.
 
     The machine is deliberately slow (every budget level is simulated

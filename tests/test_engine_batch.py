@@ -39,10 +39,8 @@ class ScalarStream:
     (push, decode under the interval deadline, drain on the last round)
     — the oracle each batch lane is compared against."""
 
-    def __init__(self, lattice, thv, reg, budget, nlimit=None):
-        self.engine = QecoolEngine(
-            lattice, thv=thv, reg_size=reg, nlimit=nlimit
-        )
+    def __init__(self, lattice, thv, reg, budget):
+        self.engine = QecoolEngine(lattice, thv=thv, reg_size=reg)
         self.budget = budget
         self.unconstrained = budget is None
         self.gen = None if self.unconstrained else self.engine.run(drain=False)
@@ -77,9 +75,9 @@ class BatchStream:
     """Drives one batch-engine lane with the identical round protocol,
     including the two empty-layer fast entries the online layer uses."""
 
-    def __init__(self, batch, thv, reg, budget, nlimit=None):
+    def __init__(self, batch, thv, reg, budget):
         self.batch = batch
-        self.lane = batch.alloc_lane(thv, reg, nlimit)
+        self.lane = batch.alloc_lane(thv, reg)
         self.budget = budget
         self.unconstrained = budget is None
         batch.set_wall_exact(
@@ -172,8 +170,8 @@ def run_pair(
     lockstep=False,
 ):
     """Run staggered shots through one batch engine and per-shot scalar
-    oracles, shot ``i`` at operating point ``points[i] = (thv, reg_size,
-    nlimit)``; compare after every round and at the end.  ``lockstep``
+    oracles, shot ``i`` at operating point ``points[i] = (thv,
+    reg_size)``; compare after every round and at the end.  ``lockstep``
     steps a round's lanes together (:func:`step_lanes`) instead of one
     engine call per lane."""
     if batch is None:
@@ -205,8 +203,8 @@ def run_pair(
                 continue
             if pairs[i] is None:
                 pairs[i] = (
-                    BatchStream(batch, *points[i][:2], budget, points[i][2]),
-                    ScalarStream(lattice, *points[i][:2], budget, points[i][2]),
+                    BatchStream(batch, *points[i], budget),
+                    ScalarStream(lattice, *points[i], budget),
                 )
             bs, ss = pairs[i]
             if bs.overflowed:
@@ -252,16 +250,15 @@ def workloads(draw):
     streams = [stream_strategy(draw, lattice) for _ in range(n_shots)]
     admits = [draw(st.integers(0, 4)) for _ in range(n_shots)]
     budget = None if freq is None else freq * 1.0e-6
-    return lattice, [(thv, reg, None)] * n_shots, budget, streams, admits
+    return lattice, [(thv, reg)] * n_shots, budget, streams, admits
 
 
 @st.composite
 def mixed_workloads(draw):
     """Like :func:`workloads`, but every lane at its own operating
-    point: ``thv`` past ``MAX_LAYERS`` and past int64 included, and a
-    hop-budget cap ``nlimit`` from ``d // 2`` up (every sink can still
-    reach a boundary, so no lane stalls).  Sparser streams and closer
-    admissions put several lanes in each fast entry together."""
+    point, ``thv`` past ``MAX_LAYERS`` and past int64 included.  Sparser
+    streams and closer admissions put several lanes in each fast entry
+    together."""
     d = draw(st.sampled_from([3, 5]))
     lattice = LATTICES[d]
     freq = draw(st.sampled_from([None, 2.0e9, 1.0e6, 2.5e6]))
@@ -270,7 +267,6 @@ def mixed_workloads(draw):
         (
             draw(st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 63, 64, 2**63])),
             draw(st.sampled_from([None, 1, 2, 3, 4, 5, 6, 7, 8])),
-            draw(st.one_of(st.none(), st.integers(d // 2, 3 * d))),
         )
         for _ in range(n_shots)
     ]
@@ -288,19 +284,20 @@ def mixed_workloads(draw):
 
 
 class TestLaneForLaneIdentity:
-    @settings(max_examples=40, deadline=None)
-    @given(workloads())
-    def test_ragged_admission_matches_scalar(self, workload):
+    @settings(max_examples=80, deadline=None)
+    @given(workloads(), st.booleans())
+    def test_ragged_admission_matches_scalar(self, workload, lockstep):
         """Arbitrary shapes, clocks, admission offsets, retirement order
-        and lane reuse: every lane == its standalone scalar engine."""
-        run_pair(*workload)
+        and lane reuse: every lane == its standalone scalar engine,
+        whether each engine call takes one lane or a round's lanes
+        together."""
+        run_pair(*workload, lockstep=lockstep)
 
     @settings(max_examples=150, deadline=None)
     @given(mixed_workloads())
     def test_mixed_operating_points_share_one_engine(self, workload):
-        """Lanes of one engine at different ``thv``/``reg_size``/
-        ``nlimit``, stepped in lock-step: every lane == a scalar engine
-        at its own point."""
+        """Lanes of one engine at different ``thv``/``reg_size``, stepped
+        in lock-step: every lane == a scalar engine at its own point."""
         run_pair(*workload, lockstep=True)
 
     def test_lane_reuse_after_retirement_is_clean(self, d5):
@@ -325,8 +322,9 @@ class TestLaneForLaneIdentity:
     @pytest.mark.parametrize("d", [3, 5, 7])
     @pytest.mark.parametrize("thv,reg", [(-1, None), (3, 7), (-1, 7)])
     def test_dense_drain_matches_scalar_and_reference(self, d, thv, reg):
-        """Unconstrained streams across the full shape grid, pinned by
-        both the scalar engine and the literal ReferenceEngine."""
+        """Unconstrained streams across the full shape grid, stepped in
+        lock-step, pinned by both the scalar engine and the literal
+        ReferenceEngine."""
         lattice = LATTICES[d]
         rng = np.random.default_rng(100 * d + thv + (0 if reg is None else reg))
         n_shots, n_rounds = 4, 5
@@ -335,15 +333,21 @@ class TestLaneForLaneIdentity:
             for _ in range(n_shots)
         ]
         batch = QecoolEngineBatch(lattice, capacity=n_shots)
-        lanes = []
+        lanes = [BatchStream(batch, thv, reg, None) for _ in streams]
+        for k in range(n_rounds):
+            live = [j for j, bs in enumerate(lanes) if not bs.overflowed]
+            if live:
+                final = k == n_rounds - 1
+                step_lanes(
+                    [lanes[j] for j in live], [k] * len(live),
+                    [streams[j][k] for j in live], [final] * len(live),
+                )
         refs = []
         for stream in streams:
-            bs = BatchStream(batch, thv, reg, None)
             ref = ReferenceEngine(lattice, thv=thv, reg_size=reg)
             ref_dead = False
             for k, row in enumerate(stream):
                 final = k == len(stream) - 1
-                bs.step(k, row, final)
                 if not ref_dead:
                     if not ref.push_layer(row):
                         ref_dead = True
@@ -351,7 +355,6 @@ class TestLaneForLaneIdentity:
                         if final:
                             ref.begin_drain()
                         ref.advance()
-            lanes.append(bs)
             refs.append((ref, ref_dead))
         for i, (bs, (ref, ref_dead)) in enumerate(zip(lanes, refs)):
             assert bs.overflowed == ref_dead, f"shot {i}"

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import kernels
 from repro.core.engine import MAX_LAYERS, QecoolEngine
@@ -100,28 +102,35 @@ params = pytest.mark.parametrize(
 
 @params
 def test_race_matches_scalar_scan(d, case):
+    """A two-lane slab, and each lane alone as the scalar engine's
+    one-lane ``(1, N)`` view of its mask vector."""
     engines = [full for full, _, _ in _lanes(d, case)]
-    s, i, b = _triples(engines)
-    got = kernels.race(_slab(engines), s, i, b, engines[0]._geo)
-    want = [engines[lane]._winner_scalar(idx, base)
-            for lane, idx, base in zip(s.tolist(), i.tolist(), b.tolist())]
-    assert got.tolist() == want
-    if case[1] == MAX_LAYERS:
-        assert (b == MAX_LAYERS - 1).any()
+    inputs = [(engines, _slab(engines))]
+    inputs += [([engine], engine._slab) for engine in engines]
+    for group, slab in inputs:
+        s, i, b = _triples(group)
+        got = kernels.race(slab, s, i, b, group[0]._geo)
+        want = [group[lane]._winner_scalar(idx, base)
+                for lane, idx, base in zip(s.tolist(), i.tolist(), b.tolist())]
+        assert got.tolist() == want
+        if case[1] == MAX_LAYERS:
+            assert (b == MAX_LAYERS - 1).any()
 
 
 @params
 def test_winners_bulk_matches_scalar_scan(d, case):
+    """The scalar engine's bulk survey path (``_winners_bulk``: one
+    ``race`` call on its one-lane slab) returns every sink's scalar
+    winner in request order and caches it under its absolute depth."""
     for full, _, _ in _lanes(d, case):
-        sinks = _sinks(full)
-        got = kernels.winners_bulk(
-            full._masks,
-            full._live_units(),
-            np.asarray([idx for idx, _ in sinks], dtype=np.int64),
-            np.asarray([b for _, b in sinks], dtype=np.int64),
-            full._geo,
-        )
-        assert got.tolist() == [full._winner_scalar(idx, b) for idx, b in sinks]
+        sinks = [(b, idx) for idx, b in _sinks(full)]
+        full._winner_cache.clear()
+        got = full._winners_bulk(sinks)
+        want = [full._winner_scalar(idx, b) for b, idx in sinks]
+        assert got == want
+        assert full._winner_cache == {
+            (idx, full.popped + b): w for (b, idx), w in zip(sinks, want)
+        }
 
 
 @params
@@ -173,6 +182,69 @@ def test_valid_entries_matches_scalar_check(d, case):
     ]
     assert got.tolist() == want
     assert not all(want) and any(want)
+
+
+def _push_evicts(engine, cache, pushed, t_new):
+    """Plain-Python restatement of the scalar branch of
+    ``QecoolEngine._invalidate_after_push``: the cache keys a layer
+    pushed at depth ``t_new`` (units ``pushed``) out-races."""
+    radix = engine._radix
+    evicted = set()
+    for (idx, b), win in cache.items():
+        t_rel = t_new - b
+        if win // (1024 * radix) >> 1 < t_rel:
+            continue  # winner faster than any event that deep
+        for a in pushed:
+            if a == idx:
+                cand = (t_rel * 16 * 128 + t_rel) * radix  # vertical
+            else:
+                cand = int(engine._pair_base[idx, a]) + t_rel * 2049 * radix
+            if cand < win:
+                evicted.add((idx, b))
+                break
+    return evicted
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([3, 5, 7]),
+    n_layers=st.integers(1, MAX_LAYERS - 1),
+    density=st.sampled_from([0.03, 0.1, 0.3]),
+    push_density=st.sampled_from([0.02, 0.1, 0.5]),
+    seed=st.integers(0, 2**32),
+)
+def test_push_beats_matches_scalar_branch(
+    d, n_layers, density, push_density, seed
+):
+    """Cached winners raced on a reachable state (two thirds of them
+    stale against the cleared state the push lands on), then one more
+    layer pushed: ``push_beats`` evicts exactly the entries the scalar
+    branch does, and so does the engine's own push at either size
+    (scalar scan or kernel broadcast)."""
+    lattice = LATTICES[d]
+    rng = np.random.default_rng(seed)
+    n = lattice.n_ancillas
+    rows = (rng.random((n_layers, n)) < density).astype(np.uint8)
+    rows[0, 0] = 1
+    keep = (rng.random(rows.shape) < 0.7).astype(np.uint8)
+    keep[0, 0] = 1
+    full, engine = _engine(lattice, rows), _engine(lattice, rows & keep)
+    cache = {key: full._winner_scalar(*key) for key in _sinks(full)}
+    row = (rng.random(n) < push_density).astype(np.uint8)
+    pushed = np.flatnonzero(row)
+    want = _push_evicts(engine, cache, pushed.tolist(), n_layers)
+    keys = list(cache)
+    i = np.asarray([idx for idx, _ in keys], dtype=np.int64)
+    t_rel = n_layers - np.asarray([b for _, b in keys], dtype=np.int64)
+    win = np.asarray(list(cache.values()), dtype=np.int64)
+    beaten = kernels.push_beats(
+        i[:, None], pushed[None, :], t_rel[:, None], win[:, None],
+        engine._geo,
+    ).any(axis=1)
+    assert {key for key, hit in zip(keys, beaten.tolist()) if hit} == want
+    engine._winner_cache = dict(cache)
+    assert engine.push_layer(row)
+    assert set(cache) - set(engine._winner_cache) == want
 
 
 @params
